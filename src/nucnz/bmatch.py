@@ -8,8 +8,15 @@ each ships a map object that pulls solutions back with an exact value
 identity.  The toolkit's solver routes a subspace-avoidance query through
 the non-zero decomposition and then through one of: the parity-join cycle
 solver (polynomial when few vertices have capacity 2, exhaustive
-otherwise), the randomized exact-weight matcher (bounded integer data), or
-plain brute force.
+otherwise) or plain brute force.
+
+Unlike the other separation solvers, this one does not fold the kernel of
+the avoided subspace into a single non-zero vector
+(:func:`nucnz.linalg.fold_kernel`).  The capacity-2 cycle route guesses
+among the nonzero-labelled edges, C(|supp a|, <= #cap2 + 2) guesses per
+query: a kernel vector of a low-dimensional span has support 2, while the
+folded vector is supported on nearly every vertex.  One query per kernel
+vector is much cheaper there.
 """
 
 from __future__ import annotations
@@ -17,11 +24,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 from .exact_matching import exact_weight_perfect_matching, pf_weight_support
-from .games import ExcessReport, coalition_sum
+from .games import ExcessReport, brute_nz_min_excess, coalition_sum
 from .graphs import Graph
 from .linalg import LinearSubspace, integer_kernel_basis, rat_str
 from .matching import (
@@ -54,6 +60,9 @@ __all__ = [
     "bmatch_nz_min_excess",
     "bmatch_lsa_min_excess",
 ]
+
+# "auto" takes the few2 route up to this many capacity-2 vertices.
+FEW2_MAX_CAP2 = 4
 
 
 @dataclass(frozen=True)
@@ -394,55 +403,32 @@ def _nz_matching_exact(
 
 
 def bmatch_nz_min_excess(
-    inst: BMatchInstance,
-    a: Sequence[int],
-    strategy: str = "auto",
-    seed: int = 0,
-    few2_threshold: int = 4,
+    inst: BMatchInstance, a: Sequence[int], strategy: str = "auto"
 ) -> ExcessReport:
     """Minimum excess over coalitions with a(S) != 0 for the matching game.
 
     Strategies: "few2" (parity-join cycles with the promise bound),
-    "exhaustive" (parity-join cycles, all guesses), "randomized" (bounded
-    integer weights), "brute" (coalition enumeration), "auto".
-
-    The randomized route folds the gadget weights, whose dominating
-    constant squares through the reduction; its work-budget guard
-    therefore rejects all but trivial game instances, so "auto" never
-    selects it (the route is validated directly on matching instances).
+    "exhaustive" (parity-join cycles, all guesses), "brute" (coalition
+    enumeration), "auto".
     """
-    g = inst.graph
+    cap2 = sum(1 for cap in inst.b if cap == 2)
     if strategy == "auto":
-        if sum(1 for cap in inst.b if cap == 2) <= few2_threshold:
+        if cap2 <= FEW2_MAX_CAP2:
             strategy = "few2"
-        elif g.m <= 12:
+        elif inst.graph.m <= 12:
             strategy = "exhaustive"
         else:
             strategy = "brute"
 
     if strategy == "brute":
-        from .games import brute_nz_min_excess
-
         return brute_nz_min_excess(inst.game(), inst.y, a)
+    if strategy not in ("few2", "exhaustive"):
+        raise ValueError(f"unknown strategy {strategy!r}")
 
     produced, gm = reduce_bmatch_to_nzmatching(inst, a)
-    if strategy in ("few2", "exhaustive"):
-        cap = None
-        if strategy == "few2":
-            cap = sum(1 for v in inst.b if v == 2) + 2
-        matching = _nz_matching_exact(produced, cap)
-        if matching is None:
-            raise RuntimeError("gadget instance lost its nonzero matchings")
-    elif strategy == "randomized":
-        den = 1
-        for v in produced.w:
-            den = den * v.denominator // gcd(den, v.denominator)
-        scaled = NZMatchingInstance(
-            produced.graph, tuple(v * den for v in produced.w), produced.a
-        )
-        matching, _ = nz_matching_randomized(scaled, seed)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    matching = _nz_matching_exact(produced, cap2 + 2 if strategy == "few2" else None)
+    if matching is None:
+        raise RuntimeError("gadget instance lost its nonzero matchings")
 
     mask = gm.coalition_of(matching)
     game = inst.game()
@@ -451,16 +437,15 @@ def bmatch_nz_min_excess(
 
 
 def bmatch_lsa_min_excess(
-    inst: BMatchInstance,
-    L: LinearSubspace,
-    strategy: str = "auto",
-    seed: int = 0,
+    inst: BMatchInstance, L: LinearSubspace, strategy: str = "auto"
 ) -> ExcessReport:
     """Minimum excess over coalitions avoiding ``L``: decompose into one
-    non-zero query per kernel vector and keep the best."""
+    non-zero query per kernel vector and keep the best.  The kernel is not
+    folded into one query, which would multiply the few2 route's guesses
+    (see the module docstring)."""
     best: ExcessReport | None = None
     for a in integer_kernel_basis(L):
-        rep = bmatch_nz_min_excess(inst, a, strategy=strategy, seed=seed)
+        rep = bmatch_nz_min_excess(inst, a, strategy=strategy)
         if best is None or (rep.excess, rep.coalition) < (best.excess, best.coalition):
             best = rep
     return best

@@ -96,16 +96,7 @@ def _oracle_sep(loaded: LoadedGame):
 
         return sep
 
-    # table/packing: decompose the avoided subspace into non-zero queries
-    def sep(vg, y, span):
-        best = None
-        for sub in lsa_to_nz(LSAInstance(vg, tuple(y), span)):
-            rep = brute_nz_min_excess(vg, y, sub.a)
-            if best is None or (rep.excess, rep.coalition) < (best.excess, best.coalition):
-                best = rep
-        return best
-
-    return sep
+    return brute_lsa_min_excess
 
 
 def _named(players, mask: int) -> list[str]:

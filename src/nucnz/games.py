@@ -11,10 +11,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
-from .linalg import LinearSubspace, integer_kernel_basis
+from .linalg import LinearSubspace, fold_kernel, integer_kernel_basis
 
 Coalition = int
 Allocation = tuple[Fraction, ...]
@@ -185,24 +185,12 @@ def _scaled_scan_data(g: GameOracle, y: Sequence[Fraction]):
     """
     n = g.player_count
     table = g.table()
-    dy = 1
     yf = [Fraction(v) for v in y]
-    for v in yf:
-        dy = dy * v.denominator // gcd(dy, v.denominator)
-    dv = 1
-    for v in table:
-        dv = dv * v.denominator // gcd(dv, v.denominator)
-    ynum = [int(v * dy) for v in yf]
+    dy = lcm(*(v.denominator for v in yf))
+    dv = lcm(*(v.denominator for v in table))
     sign = 1 if g.kind == "value" else -1
-    # y(S) sums for every mask by lowest-bit recursion.
-    ysum = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        low = m & -m
-        ysum[m] = ysum[m ^ low] + ynum[low.bit_length() - 1]
-    nums = [0] * (1 << n)
-    for m in range(1 << n):
-        v = table[m]
-        nums[m] = sign * (ysum[m] * dv - int(v * dv) * dy)
+    ysum = dot_table([int(v * dy) for v in yf], n)
+    nums = [sign * (s * dv - int(v * dv) * dy) for s, v in zip(ysum, table)]
     return nums, dy * dv
 
 
@@ -261,31 +249,13 @@ def brute_nz_min_excess(
 def brute_lsa_min_excess(
     g: GameOracle, y: Sequence[Fraction], L: LinearSubspace
 ) -> ExcessReport:
-    """Minimum excess among coalitions whose incidence vector avoids ``L``."""
-    n = g.player_count
-    if L.ambient_dim != n:
+    """Minimum excess among coalitions whose incidence vector avoids ``L``:
+    one non-zero query with the folded kernel of ``L``."""
+    if L.ambient_dim != g.player_count:
         raise ValueError("subspace ambient dimension must equal player count")
     if not L.is_proper():
         raise ValueError("avoided subspace must be proper")
-    _require_within_cap(g)
-    kernel = integer_kernel_basis(L)
-    nums, den = _scaled_scan_data(g, y)
-    size = 1 << n
-    outside = bytearray(size)
-    for vec in kernel:
-        dots = dot_table(vec, n)
-        for m in range(size):
-            if dots[m] != 0:
-                outside[m] = 1
-    best_m = -1
-    best = None
-    for m in range(size):
-        if outside[m] and (best is None or nums[m] < best):
-            best = nums[m]
-            best_m = m
-    if best_m < 0:
-        raise ValueError("every coalition lies inside the avoided subspace")
-    return ExcessReport(best_m, Fraction(best, den))
+    return brute_nz_min_excess(g, y, fold_kernel(integer_kernel_basis(L)))
 
 
 def is_monotone(g: GameOracle, max_players: int = 16) -> bool:

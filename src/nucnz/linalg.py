@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -23,6 +23,7 @@ __all__ = [
     "LinearSubspace",
     "in_span",
     "integer_kernel_basis",
+    "fold_kernel",
     "primitive_int_vector",
 ]
 
@@ -96,13 +97,9 @@ def primitive_int_vector(row: Sequence) -> tuple[int, ...]:
     and sign-normalized so the first nonzero entry is positive.
     """
     fracs = _as_row(row)
-    lcm = 1
-    for v in fracs:
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    den = lcm(*(v.denominator for v in fracs))
+    ints = [int(v * den) for v in fracs]
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     for v in ints:
@@ -200,3 +197,22 @@ def integer_kernel_basis(L: LinearSubspace) -> list[tuple[int, ...]]:
         kernel.append(v)
     canon = rref(kernel)
     return [primitive_int_vector(r) for r in canon]
+
+
+def fold_kernel(vectors: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Fold integer vectors a_0..a_{k-1} into c = sum_i B^i a_i, where
+    B = 2 max_i ||a_i||_1 + 1.
+
+    For a 0/1 vector x every |a_i.x| <= (B - 1)/2, so the a_i.x are the
+    balanced base-B digits of c.x, and c.x != 0 exactly when some
+    a_i.x != 0.  Applied to an integer kernel basis of L, one non-zero
+    constraint c.x != 0 therefore says exactly that x avoids L.  A single
+    vector folds to itself.
+    """
+    if not vectors:
+        raise ValueError("nothing to fold")
+    base = 2 * max(sum(abs(v) for v in a) for a in vectors) + 1
+    c = [0] * len(vectors[0])
+    for a in reversed(vectors):
+        c = [base * u + v for u, v in zip(c, a)]
+    return tuple(c)

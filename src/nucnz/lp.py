@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Sequence
 
 __all__ = ["LPInstance", "LPSolution", "LPError", "solve_lp_exact"]
@@ -77,10 +77,6 @@ class LPSolution:
     x: tuple[Fraction, ...] | None = None
     duals: tuple[Fraction, ...] | None = None
     objective: Fraction | None = None
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 class _Tableau:
@@ -187,19 +183,14 @@ def solve_lp_exact(lp: LPInstance, verify: bool = True) -> LPSolution:
     bcol = ncols
 
     # Objective scaled to integers (we minimize the negated objective).
-    sigma = 1
-    for v in lp.objective:
-        sigma = _lcm(sigma, v.denominator)
+    sigma = lcm(*(v.denominator for v in lp.objective))
     cint = [int(v * sigma) for v in lp.objective]
 
     rows_int: list[list[int]] = []
     row_scale: list[int] = []
     row_flip: list[int] = []
     for i, (coeffs, sense, rhs) in enumerate(lp.rows):
-        rho = 1
-        for v in coeffs:
-            rho = _lcm(rho, v.denominator)
-        rho = _lcm(rho, rhs.denominator)
+        rho = lcm(rhs.denominator, *(v.denominator for v in coeffs))
         a = [int(v * rho) for v in coeffs]
         b = int(rhs * rho)
         flip = -1 if b < 0 else 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence
 
 import networkx as nx
@@ -340,9 +340,7 @@ def min_cost_t_join(g: Graph, costs: Sequence[Fraction], T: Iterable[int]) -> tu
     join: set[int] = set()
     if tp:
         # integer-scaled absolute costs for the shortest-path phase
-        den = 1
-        for c in cf:
-            den = den * c.denominator // gcd(den, c.denominator)
+        den = lcm(*(c.denominator for c in cf))
         dist_w = [abs(int(c * den)) for c in cf]
         dists = {}
         prevs = {}

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .games import ExcessReport, GameOracle, coalition_sum
 from .graphs import Graph
-from .linalg import LinearSubspace, integer_kernel_basis
+from .linalg import LinearSubspace, fold_kernel, integer_kernel_basis
 
 __all__ = [
     "MatroidOracle",
@@ -450,28 +450,24 @@ def arboricity_lsa_solver(g: Graph):
     """Separation solver for the LP scheme on the forest-cover cost game.
 
     The scheme works on the negated (value) view, so the incoming
-    allocation is negated back before the cost-side solver runs.
+    allocation is negated back before the cost-side solver runs.  The
+    kernel of the avoided span is folded into one non-zero vector; the
+    one-swap basis solver compares labels only for equality, so the folded
+    query costs about as much as a single kernel-vector query.
     """
 
     def sep(vg, yhat, span: LinearSubspace) -> ExcessReport:
-        best = None
         neg = [-Fraction(v) for v in yhat]
-        for a in integer_kernel_basis(span):
-            rep = arboricity_nz_min_excess(g, neg, a)
-            if best is None or (rep.excess, rep.coalition) < (best.excess, best.coalition):
-                best = rep
-        return best
+        return arboricity_nz_min_excess(g, neg, fold_kernel(integer_kernel_basis(span)))
 
     return sep
 
 
 def network_strength_lsa_solver(g: Graph):
+    """Separation solver for the spanning-tree-packing game: one non-zero
+    query with the folded kernel of the avoided span."""
+
     def sep(vg, yhat, span: LinearSubspace) -> ExcessReport:
-        best = None
-        for a in integer_kernel_basis(span):
-            rep = network_strength_nz_min_excess(g, yhat, a)
-            if best is None or (rep.excess, rep.coalition) < (best.excess, best.coalition):
-                best = rep
-        return best
+        return network_strength_nz_min_excess(g, yhat, fold_kernel(integer_kernel_basis(span)))
 
     return sep

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Callable, Sequence
 
 from .games import (
@@ -35,7 +35,7 @@ from .games import (
     enum_cap,
     excess,
 )
-from .linalg import LinearSubspace, integer_kernel_basis, rat_str
+from .linalg import LinearSubspace, fold_kernel, integer_kernel_basis, rat_str
 from .lp import LPInstance, solve_lp_exact
 
 __all__ = [
@@ -81,6 +81,16 @@ class NucleolusResult:
         }
 
 
+def _outside(span: LinearSubspace, n: int) -> bytearray:
+    """Flag of every mask whose incidence vector avoids ``span``.
+
+    The kernel is folded into one vector, so a single pass decides
+    membership; its large dot products are dropped as soon as they are
+    flagged.
+    """
+    return bytearray(map(bool, dot_table(fold_kernel(integer_kernel_basis(span)), n)))
+
+
 def _enumerate_sep(vg: GameOracle) -> LsaSolver:
     """Exhaustive separation: scan all 2^n coalitions with scaled integers."""
     n = vg.player_count
@@ -89,35 +99,20 @@ def _enumerate_sep(vg: GameOracle) -> LsaSolver:
             f"{n} players exceeds enumeration cap {enum_cap()} for enumerate mode"
         )
     table = vg.table()
-    dv = 1
-    for v in table:
-        dv = dv * v.denominator // gcd(dv, v.denominator)
+    dv = lcm(*(v.denominator for v in table))
     vnum = [int(v * dv) for v in table]
-    size = 1 << n
     outside_cache: dict[LinearSubspace, bytearray] = {}
 
     def sep(_g: GameOracle, y: Sequence[Fraction], span: LinearSubspace) -> ExcessReport:
         outside = outside_cache.get(span)
         if outside is None:
-            outside = bytearray(size)
-            for vec in integer_kernel_basis(span):
-                dots = dot_table(vec, n)
-                for m in range(size):
-                    if dots[m] != 0:
-                        outside[m] = 1
-            outside_cache[span] = outside
+            outside = outside_cache[span] = _outside(span, n)
         yf = [Fraction(v) for v in y]
-        dy = 1
-        for v in yf:
-            dy = dy * v.denominator // gcd(dy, v.denominator)
-        ynum = [int(v * dy) for v in yf]
-        ysum = [0] * size
-        for m in range(1, size):
-            low = m & -m
-            ysum[m] = ysum[m ^ low] + ynum[low.bit_length() - 1]
+        dy = lcm(*(v.denominator for v in yf))
+        ysum = dot_table([int(v * dy) for v in yf], n)
         best_m = -1
         best = None
-        for m in range(size):
+        for m in range(1 << n):
             if outside[m]:
                 e = ysum[m] * dv - vnum[m] * dy
                 if best is None or e < best:
@@ -192,6 +187,30 @@ def _solve_level(
         cut_set.add(rep.coalition)
 
 
+def _separator(vg: GameOracle, mode: str, sep: LsaSolver | None) -> LsaSolver:
+    if mode == "enumerate":
+        return _enumerate_sep(vg)
+    if mode == "oracle":
+        if sep is None:
+            raise ValueError("oracle mode needs a separation solver")
+        return sep
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _payoff(g: GameOracle, y: Sequence[Fraction]) -> Allocation:
+    """Undo the value view's negation for cost games."""
+    return tuple(-v for v in y) if g.kind == "cost" else tuple(y)
+
+
+def _result(
+    g: GameOracle, y: Sequence[Fraction] | None, records: list[IterationRecord]
+) -> NucleolusResult:
+    if y is None:
+        # Nothing to fix (single player): efficiency pins the allocation.
+        y = (as_value_game(g).grand_value(),)
+    return NucleolusResult(allocation=_payoff(g, y), trace=tuple(records))
+
+
 def mps_nucleolus(
     g: GameOracle,
     mode: str = "enumerate",
@@ -207,14 +226,7 @@ def mps_nucleolus(
     """
     vg = as_value_game(g)
     n = vg.player_count
-    if mode == "enumerate":
-        oracle = _enumerate_sep(vg)
-    elif mode == "oracle":
-        if sep is None:
-            raise ValueError("oracle mode needs a separation solver")
-        oracle = sep
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    oracle = _separator(vg, mode, sep)
 
     full = (1 << n) - 1
     span = LinearSubspace.from_rows([coalition_vector(full, n)], n)
@@ -242,14 +254,7 @@ def mps_nucleolus(
             raise MpsError("level fixed no new coalition")
         records.append(IterationRecord(xi=xi, fixed=tuple(newly), duals=duals))
 
-    if last_y is None:
-        # Nothing to fix (single player): efficiency pins the allocation.
-        last_y = (vg.grand_value(),)
-
-    allocation = tuple(last_y)
-    if g.kind == "cost":
-        allocation = tuple(-v for v in allocation)
-    return NucleolusResult(allocation=allocation, trace=tuple(records))
+    return _result(g, last_y, records)
 
 
 def least_core(g: GameOracle, mode: str = "enumerate", sep: LsaSolver | None = None):
@@ -257,25 +262,14 @@ def least_core(g: GameOracle, mode: str = "enumerate", sep: LsaSolver | None = N
     least-core allocation."""
     vg = as_value_game(g)
     n = vg.player_count
+    oracle = _separator(vg, mode, sep)
     if n == 1:
-        y = (vg.grand_value(),)
-        xi = Fraction(0)
-    else:
-        if mode == "enumerate":
-            oracle = _enumerate_sep(vg)
-        elif mode == "oracle":
-            if sep is None:
-                raise ValueError("oracle mode needs a separation solver")
-            oracle = sep
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        full = (1 << n) - 1
-        span = LinearSubspace.from_rows([coalition_vector(full, n)], n)
-        cuts = [1 << p for p in range(n)]
-        xi, y, _ = _solve_level(vg, [], span, oracle, cuts)
-    if g.kind == "cost":
-        y = tuple(-v for v in y)
-    return xi, tuple(y)
+        return Fraction(0), _payoff(g, (vg.grand_value(),))
+    full = (1 << n) - 1
+    span = LinearSubspace.from_rows([coalition_vector(full, n)], n)
+    cuts = [1 << p for p in range(n)]
+    xi, y, _ = _solve_level(vg, [], span, oracle, cuts)
+    return xi, _payoff(g, y)
 
 
 def reference_nucleolus(g: GameOracle, max_players: int = 17) -> NucleolusResult:
@@ -299,14 +293,7 @@ def reference_nucleolus(g: GameOracle, max_players: int = 17) -> NucleolusResult
     last_y: tuple[Fraction, ...] | None = None
 
     while span.dim < n:
-        size = 1 << n
-        outside = bytearray(size)
-        for vec in integer_kernel_basis(span):
-            dots = dot_table(vec, n)
-            for m in range(size):
-                if dots[m] != 0:
-                    outside[m] = 1
-        active = [m for m in range(size) if outside[m]]
+        active = [m for m, out in enumerate(_outside(span, n)) if out]
 
         rows = []
         for mask, xs in fixed:
@@ -350,9 +337,4 @@ def reference_nucleolus(g: GameOracle, max_players: int = 17) -> NucleolusResult
             span = span.extended(coalition_vector(mask, n))
         records.append(IterationRecord(xi=xi, fixed=tuple(pinned), duals=duals))
 
-    if last_y is None:
-        last_y = (vg.grand_value(),)
-    allocation = tuple(last_y)
-    if g.kind == "cost":
-        allocation = tuple(-v for v in allocation)
-    return NucleolusResult(allocation=allocation, trace=tuple(records))
+    return _result(g, last_y, records)

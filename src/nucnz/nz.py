@@ -4,6 +4,14 @@ A subspace-avoidance instance decomposes into one non-zero instance per
 integer kernel vector of the avoided subspace; conversely a non-zero
 constraint is avoidance of the hyperplane orthogonal to its vector.  Both
 directions preserve the optimum excess exactly.
+
+The separation solvers use a sharper form of the first direction: the
+kernel vectors a_0..a_{k-1} fold into the single vector c = sum_i B^i a_i
+with B = 2 max_i ||a_i||_1 + 1 (:func:`nucnz.linalg.fold_kernel`), and a
+coalition avoids the subspace exactly when c(S) != 0, so one non-zero
+instance is equivalent to the avoidance instance.  :func:`lsa_to_nz` keeps
+the unfolded decomposition, which the tests use as the independent side
+of that equivalence.
 """
 
 from __future__ import annotations

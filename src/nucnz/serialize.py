@@ -47,6 +47,16 @@ def _require(cond: bool, msg: str):
         raise GameFileError(msg)
 
 
+def _field(d, key: str, what: str):
+    _require(isinstance(d, dict) and key in d, f'{what} needs a "{key}" entry')
+    return d[key]
+
+
+def _graph(spec: dict, what: str) -> Graph:
+    g = _field(spec, "graph", what)
+    return Graph.of(int(_field(g, "n", "graph")), _field(g, "edges", "graph"))
+
+
 def load_game_dict(d: dict) -> LoadedGame:
     _require(isinstance(d, dict), "game file must be a JSON object")
     kind = d.get("kind")
@@ -64,19 +74,19 @@ def load_game_dict(d: dict) -> LoadedGame:
         _require(len(values) == 1 << n, "table must list all 2^n coalition values")
         game: GameOracle = TableGame([parse_rat(v) for v in values], kind=kind)
     elif gtype == "bmatching":
-        graph = Graph.from_json_dict(spec["graph"])
+        graph = _graph(spec, "bmatching game")
         _require(graph.n == n, "players must match the vertex count")
-        w = [parse_rat(v) for v in spec["w"]]
-        b = [int(v) for v in spec["b"]]
+        w = [parse_rat(v) for v in _field(spec, "w", "bmatching game")]
+        b = [int(v) for v in _field(spec, "b", "bmatching game")]
         _require(kind == "value", "degree-capped matching games are value games")
         game = BMatchingGame(graph, w, b)
     elif gtype == "arboricity":
-        graph = Graph.from_json_dict(spec["graph"])
+        graph = _graph(spec, "arboricity game")
         _require(graph.m == n, "players must match the edge count")
         _require(kind == "cost", "forest-cover games are cost games")
         game = ArboricityGame(graph)
     elif gtype == "network_strength":
-        graph = Graph.from_json_dict(spec["graph"])
+        graph = _graph(spec, "network_strength game")
         _require(graph.m == n, "players must match the edge count")
         _require(kind == "value", "spanning-tree-packing games are value games")
         game = NetworkStrengthGame(graph)
@@ -85,9 +95,10 @@ def load_game_dict(d: dict) -> LoadedGame:
         _require(isinstance(sets, list) and sets, "packing game needs sets")
         parsed = []
         for s in sets:
-            members = s["members"]
+            members = _field(s, "members", "packing set")
+            weight = parse_rat(_field(s, "weight", "packing set"))
             _require(all(0 <= int(p) < n for p in members), "set member out of range")
-            parsed.append((coalition_of(int(p) for p in members), parse_rat(s["weight"])))
+            parsed.append((coalition_of(int(p) for p in members), weight))
         _require(kind == "value", "packing games are value games")
         game = PackingGame(n, parsed)
     else:

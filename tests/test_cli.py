@@ -143,6 +143,32 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 1
 
 
+GRAPH = {"n": 2, "edges": [[0, 1]]}
+MALFORMED_GAMES = {
+    "bmatching without graph": ("value", 2, {"type": "bmatching", "w": ["1"], "b": [1, 1]}),
+    "bmatching without w": ("value", 2, {"type": "bmatching", "graph": GRAPH, "b": [1, 1]}),
+    "bmatching without b": ("value", 2, {"type": "bmatching", "graph": GRAPH, "w": ["1"]}),
+    "bmatching graph without edges": (
+        "value", 2, {"type": "bmatching", "graph": {"n": 2}, "w": ["1"], "b": [1, 1]},
+    ),
+    "arboricity without graph": ("cost", 1, {"type": "arboricity"}),
+    "network_strength without graph": ("value", 1, {"type": "network_strength"}),
+    "packing set without members": ("value", 2, {"type": "packing", "sets": [{"weight": "1"}]}),
+    "packing set without weight": ("value", 2, {"type": "packing", "sets": [{"members": [0]}]}),
+    "packing set not an object": ("value", 2, {"type": "packing", "sets": [[0, 1]]}),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_GAMES))
+def test_malformed_game_files_fail_with_json(capsys, tmp_path, case):
+    kind, n, spec = MALFORMED_GAMES[case]
+    players = [f"p{i}" for i in range(n)]
+    path = write(tmp_path, "game.json", {"kind": kind, "players": players, "game": spec})
+    code, out, err = run(capsys, ["solve", path])
+    assert code == 1 and out == ""
+    assert isinstance(json.loads(err), dict)
+
+
 def test_serialize_round_trips(tmp_path):
     d = {
         "kind": "value",

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from nucnz.linalg import (
     LinearSubspace,
+    fold_kernel,
     in_span,
     integer_kernel_basis,
     parse_rat,
@@ -88,6 +91,40 @@ def test_in_span_matches_rank_test():
         x = [F(rng.randint(-3, 3)) for _ in range(n)]
         brute = rank([list(r) for r in L.basis_rows] + [x]) == L.dim
         assert in_span(L, x) == brute
+
+
+@pytest.mark.parametrize("kernel", ["one vector", "n vectors", "any"])
+@given(data=st.data())
+def test_fold_kernel_is_nonzero_exactly_outside_the_span(kernel, data):
+    n = data.draw(st.integers(1, 8), label="n")
+    if kernel == "one vector":
+        dim = n - 1
+    elif kernel == "n vectors":
+        dim = 0
+    else:
+        dim = data.draw(st.integers(0, n - 1), label="dim")
+    entry = st.integers(-3, 3)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=dim, max_size=dim))
+    L = LinearSubspace.from_rows(rows, n)
+    assume(L.dim == dim)
+    c = fold_kernel(integer_kernel_basis(L))
+    assert len(c) == n
+    for mask in range(1 << n):
+        x = [(mask >> p) & 1 for p in range(n)]
+        assert (sum(ci * xi for ci, xi in zip(c, x)) != 0) == (not L.contains(x))
+
+
+def test_fold_kernel_small_cases():
+    assert fold_kernel([(1, -1, 0)]) == (1, -1, 0)
+    # B = 2 * 2 + 1: the second vector is scaled by 5
+    assert fold_kernel([(1, -1, 0), (0, 1, -1)]) == (1, 4, -5)
+    with pytest.raises(ValueError):
+        fold_kernel([])
+    # Kernel (3, 0, 2), (0, 3, -1): x = (1, 0, 1) has digits 5 and -1, which
+    # a base of only max ||a_i||_1 = 5 would cancel.
+    L = LinearSubspace.from_rows([[2, -1, -3]], 3)
+    c = fold_kernel(integer_kernel_basis(L))
+    assert c[0] + c[2] != 0 and not L.contains([1, 0, 1])
 
 
 def test_primitive_int_vector():

@@ -11,12 +11,19 @@ from helpers import (
     check_matroid_axioms,
     subset_sum,
 )
-from nucnz.fixtures import random_graph
-from nucnz.games import brute_nz_min_excess, make_allocation
+from nucnz.fixtures import random_graph, random_subspace_rows
+from nucnz.games import (
+    as_value_game,
+    brute_lsa_min_excess,
+    brute_nz_min_excess,
+    make_allocation,
+)
 from nucnz.graphs import Graph
+from nucnz.linalg import LinearSubspace
 from nucnz.matroids import (
     ArboricityGame,
     NetworkStrengthGame,
+    arboricity_lsa_solver,
     arboricity_nz_min_excess,
     arboricity_value,
     dual_matroid,
@@ -24,6 +31,7 @@ from nucnz.matroids import (
     graphic_matroid,
     max_weight_basis,
     max_weight_independent_set,
+    network_strength_lsa_solver,
     network_strength_nz_min_excess,
     network_strength_value,
     nz_max_weight_basis,
@@ -234,6 +242,26 @@ def test_strength_nz_matches_brute():
         got = network_strength_nz_min_excess(g, y, a)
         want = brute_nz_min_excess(game, y, a)
         assert got.excess == want.excess, (g, y, a)
+
+
+@pytest.mark.parametrize(
+    "game_class, lsa_solver",
+    [(ArboricityGame, arboricity_lsa_solver), (NetworkStrengthGame, network_strength_lsa_solver)],
+)
+def test_lsa_solvers_match_brute(game_class, lsa_solver):
+    rng = random.Random(73)
+    done = 0
+    while done < 30:
+        g = random_graph(rng.randint(2, 4), rng.randint(1, 6), 800 + done)
+        n = g.m
+        L = LinearSubspace.from_rows(random_subspace_rows(n, n - 1, 900 + done), n)
+        vg = as_value_game(game_class(g))
+        y = make_allocation([F(rng.randint(-3, 4), rng.choice([1, 2])) for _ in range(n)])
+        got = lsa_solver(g)(vg, y, L)
+        want = brute_lsa_min_excess(vg, y, L)
+        assert got.excess == want.excess, (g, y, L)
+        assert not L.contains([(got.coalition >> p) & 1 for p in range(n)])
+        done += 1
 
 
 def test_strength_nz_exercises_dummy_edge():
