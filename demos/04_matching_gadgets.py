@@ -56,6 +56,7 @@ want = brute_nz_min_excess(inst.game(), inst.y, a)
 assert excess == want.excess
 print("matches coalition enumeration exactly")
 
-# The one-call front end picks a strategy automatically.
-rep = bmatch_nz_min_excess(inst, a, strategy="auto")
+# The one-call front end runs the same chain, guessing at most #cap2 + 2
+# label-carrying cycle edges.
+rep = bmatch_nz_min_excess(inst, a)
 print("front-end answer:", rep.excess, "at", bin(rep.coalition))

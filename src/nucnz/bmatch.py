@@ -6,9 +6,10 @@ All three reductions use a dominating constant K so that optimal solutions
 of the produced instance are forced to respect the gadget structure, and
 each ships a map object that pulls solutions back with an exact value
 identity.  The toolkit's solver routes a subspace-avoidance query through
-the non-zero decomposition and then through one of: the parity-join cycle
-solver (polynomial when few vertices have capacity 2, exhaustive
-otherwise) or plain brute force.
+the non-zero decomposition and the gadget chain to the parity-join cycle
+solver, guessing at most #cap2 + 2 non-zero edges: by the gadget's
+promise (:func:`verify_nonzero_promise`) some optimal cycle uses no more,
+so the query is exact, and polynomial when few vertices have capacity 2.
 
 Unlike the other separation solvers, this one does not fold the kernel of
 the avoided subspace into a single non-zero vector
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exact_matching import exact_weight_perfect_matching, pf_weight_support
-from .games import ExcessReport, brute_nz_min_excess, coalition_sum
+from .games import ExcessReport, coalition_sum
 from .graphs import Graph
 from .linalg import LinearSubspace, integer_kernel_basis, rat_str
 from .matching import (
@@ -40,9 +41,6 @@ from .matching import (
 from .cycles import (
     CycleReport,
     NZCycleInstance,
-    decompose_into_cycles,
-    shortest_nz_cycle_bruteforce,
-    shortest_nz_cycle_exhaustive,
     shortest_nz_cycle_few_nonzero,
 )
 
@@ -60,10 +58,6 @@ __all__ = [
     "bmatch_nz_min_excess",
     "bmatch_lsa_min_excess",
 ]
-
-# "auto" takes the few2 route up to this many capacity-2 vertices.
-FEW2_MAX_CAP2 = 4
-
 
 @dataclass(frozen=True)
 class BMatchInstance:
@@ -388,64 +382,33 @@ def nz_matching_randomized(
     raise RuntimeError("randomized matching failed on every candidate total")
 
 
-def _nz_matching_exact(
-    inst: NZMatchingInstance, guess_cap: int | None
-) -> tuple[int, ...] | None:
-    """Best nonzero matching through the cycle route (None if none exists)."""
-    red = reduce_nzmatching_to_nzcycle(inst)
-    if red.direct is not None:
-        return red.direct
-    if guess_cap is None:
-        cyc = shortest_nz_cycle_exhaustive(red.instance)
-    else:
-        cyc = shortest_nz_cycle_few_nonzero(red.instance, guess_cap)
-    return red.back_translate(cyc)
-
-
-def bmatch_nz_min_excess(
-    inst: BMatchInstance, a: Sequence[int], strategy: str = "auto"
-) -> ExcessReport:
-    """Minimum excess over coalitions with a(S) != 0 for the matching game.
-
-    Strategies: "few2" (parity-join cycles with the promise bound),
-    "exhaustive" (parity-join cycles, all guesses), "brute" (coalition
-    enumeration), "auto".
-    """
-    cap2 = sum(1 for cap in inst.b if cap == 2)
-    if strategy == "auto":
-        if cap2 <= FEW2_MAX_CAP2:
-            strategy = "few2"
-        elif inst.graph.m <= 12:
-            strategy = "exhaustive"
-        else:
-            strategy = "brute"
-
-    if strategy == "brute":
-        return brute_nz_min_excess(inst.game(), inst.y, a)
-    if strategy not in ("few2", "exhaustive"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-
+def bmatch_nz_min_excess(inst: BMatchInstance, a: Sequence[int]) -> ExcessReport:
+    """Minimum excess over coalitions with a(S) != 0 for the matching game:
+    gadget chain, then parity-join cycles with at most #cap2 + 2 guessed
+    non-zero edges."""
     produced, gm = reduce_bmatch_to_nzmatching(inst, a)
-    matching = _nz_matching_exact(produced, cap2 + 2 if strategy == "few2" else None)
+    red = reduce_nzmatching_to_nzcycle(produced)
+    cyc = None
+    if red.direct is None:
+        cap2 = sum(1 for cap in inst.b if cap == 2)
+        cyc = shortest_nz_cycle_few_nonzero(red.instance, cap2 + 2)
+    matching = red.back_translate(cyc)
     if matching is None:
         raise RuntimeError("gadget instance lost its nonzero matchings")
 
     mask = gm.coalition_of(matching)
-    game = inst.game()
-    ex = coalition_sum(inst.y, mask) - game.value(mask)
+    ex = coalition_sum(inst.y, mask) - inst.game().value(mask)
     return ExcessReport(mask, ex)
 
 
-def bmatch_lsa_min_excess(
-    inst: BMatchInstance, L: LinearSubspace, strategy: str = "auto"
-) -> ExcessReport:
+def bmatch_lsa_min_excess(inst: BMatchInstance, L: LinearSubspace) -> ExcessReport:
     """Minimum excess over coalitions avoiding ``L``: decompose into one
     non-zero query per kernel vector and keep the best.  The kernel is not
-    folded into one query, which would multiply the few2 route's guesses
+    folded into one query, which would multiply the cycle route's guesses
     (see the module docstring)."""
     best: ExcessReport | None = None
     for a in integer_kernel_basis(L):
-        rep = bmatch_nz_min_excess(inst, a, strategy=strategy)
+        rep = bmatch_nz_min_excess(inst, a)
         if best is None or (rep.excess, rep.coalition) < (best.excess, best.coalition):
             best = rep
     return best

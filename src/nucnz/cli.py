@@ -92,7 +92,7 @@ def _oracle_sep(loaded: LoadedGame):
 
         def sep(vg, y, span):
             inst = BMatchInstance(g, tuple(inst_w), tuple(inst_b), tuple(y))
-            return bmatch_lsa_min_excess(inst, span, strategy="exhaustive")
+            return bmatch_lsa_min_excess(inst, span)
 
         return sep
 
@@ -395,9 +395,7 @@ def cmd_selftest(args) -> int:
         if all(v == 0 for v in a):
             a[0] = 1
         want = brute_nz_min_excess(inst.game(), inst.y, a)
-        good = good and (
-            bmatch_nz_min_excess(inst, a, strategy="exhaustive").excess == want.excess
-        )
+        good = good and bmatch_nz_min_excess(inst, a).excess == want.excess
     record("gadget-chain-vs-brute", good)
 
     print(json.dumps({"seed": seed, "ok": ok, "checks": lines}, indent=2))

@@ -28,7 +28,6 @@ __all__ = [
     "truncate",
     "free_matroid",
     "max_weight_basis",
-    "max_weight_independent_set",
     "nz_max_weight_basis",
     "nz_max_weight_independent_set",
     "arboricity_value",
@@ -220,17 +219,6 @@ def max_weight_basis(m: MatroidOracle, w: Sequence[Fraction]) -> int:
     return mask
 
 
-def max_weight_independent_set(m: MatroidOracle, w: Sequence[Fraction]) -> int:
-    """Greedy independent set; negative-weight elements are skipped."""
-    mask = 0
-    for e in _order_by_weight(m, w):
-        if Fraction(w[e]) < 0:
-            break
-        if m.is_independent(mask | (1 << e)):
-            mask |= 1 << e
-    return mask
-
-
 def _subset_weight(w: Sequence[Fraction], mask: int) -> Fraction:
     return coalition_sum([Fraction(v) for v in w], mask)
 
@@ -274,25 +262,20 @@ def nz_max_weight_basis(
 def nz_max_weight_independent_set(
     m: MatroidOracle, w: Sequence[Fraction], a: Sequence[int]
 ) -> NZBasisResult | None:
-    """Best nonzero independent set via all truncation levels.
+    """Best nonzero independent set as one non-zero basis query.
 
-    Every nonempty independent set is a basis of its size's truncation, so
-    sweeping k = 1..|E| and keeping the best nonzero truncation basis is
-    exact.  Ties prefer smaller sets, then smaller masks.
+    With r = rank(M), the bases of truncate(M + r free dummies, r) are the
+    independent sets of M padded with dummies, so a dummy of weight 0 and
+    label 0 turns "independent set" into "basis".  The dummies take the
+    low bit positions: greedy ties at weight 0 go to dummies first, which
+    keeps the chosen real set as small as possible.
     """
-    best: NZBasisResult | None = None
-    for k in range(1, m.ground_size + 1):
-        r = nz_max_weight_basis(truncate(m, k), w, a)
-        if r is None:
-            continue
-        if best is None:
-            best = r
-            continue
-        cand_key = (-r.weight, bin(r.subset).count("1"), r.subset)
-        best_key = (-best.weight, bin(best.subset).count("1"), best.subset)
-        if cand_key < best_key:
-            best = r
-    return best
+    r = m.rank()
+    padded = MatroidOracle(m.ground_size + r, lambda mask: m.is_independent(mask >> r))
+    res = nz_max_weight_basis(truncate(padded, r), [0] * r + list(w), [0] * r + list(a))
+    if res is None:
+        return None
+    return NZBasisResult(res.subset >> r, res.weight, res.a_value)
 
 
 def arboricity_value(g: Graph, mask: int) -> int:

@@ -50,6 +50,11 @@ __all__ = [
 
 LsaSolver = Callable[[GameOracle, Sequence[Fraction], LinearSubspace], ExcessReport]
 
+# reference_nucleolus solves dense LPs over all 2^n coalitions; the solve
+# time grows about tenfold per added player, so 7 is the largest size worth
+# waiting for.
+REFERENCE_MAX_PLAYERS = 7
+
 
 class MpsError(RuntimeError):
     """Scheme-level failure: oracle inconsistency or missing progress."""
@@ -272,7 +277,7 @@ def least_core(g: GameOracle, mode: str = "enumerate", sep: LsaSolver | None = N
     return xi, _payoff(g, y)
 
 
-def reference_nucleolus(g: GameOracle, max_players: int = 17) -> NucleolusResult:
+def reference_nucleolus(g: GameOracle) -> NucleolusResult:
     """Independent validator: explicit LPs plus an auxiliary pinning test.
 
     Every level solves the LP with rows for all coalitions outside the
@@ -283,8 +288,8 @@ def reference_nucleolus(g: GameOracle, max_players: int = 17) -> NucleolusResult
     """
     vg = as_value_game(g)
     n = vg.player_count
-    if n > max_players:
-        raise CapExceededError(f"{n} players exceeds reference cap {max_players}")
+    if n > REFERENCE_MAX_PLAYERS:
+        raise CapExceededError(f"{n} players exceeds reference cap {REFERENCE_MAX_PLAYERS}")
     table = vg.table()
     full = (1 << n) - 1
     span = LinearSubspace.from_rows([coalition_vector(full, n)], n)

@@ -52,9 +52,23 @@ def _field(d, key: str, what: str):
     return d[key]
 
 
+def _ints(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, int) for x in v)
+
+
+def _list(d, key: str, what: str) -> list:
+    v = _field(d, key, what)
+    _require(isinstance(v, list), f'{what} "{key}" must be a list')
+    return v
+
+
 def _graph(spec: dict, what: str) -> Graph:
     g = _field(spec, "graph", what)
-    return Graph.of(int(_field(g, "n", "graph")), _field(g, "edges", "graph"))
+    n = _field(g, "n", "graph")
+    edges = _list(g, "edges", "graph")
+    _require(isinstance(n, int), 'graph "n" must be an integer')
+    _require(all(_ints(e) and len(e) == 2 for e in edges), "graph edges must be integer pairs")
+    return Graph.of(n, edges)
 
 
 def load_game_dict(d: dict) -> LoadedGame:
@@ -76,8 +90,9 @@ def load_game_dict(d: dict) -> LoadedGame:
     elif gtype == "bmatching":
         graph = _graph(spec, "bmatching game")
         _require(graph.n == n, "players must match the vertex count")
-        w = [parse_rat(v) for v in _field(spec, "w", "bmatching game")]
-        b = [int(v) for v in _field(spec, "b", "bmatching game")]
+        w = [parse_rat(v) for v in _list(spec, "w", "bmatching game")]
+        b = _field(spec, "b", "bmatching game")
+        _require(_ints(b), 'bmatching game "b" must be a list of integers')
         _require(kind == "value", "degree-capped matching games are value games")
         game = BMatchingGame(graph, w, b)
     elif gtype == "arboricity":
@@ -97,8 +112,9 @@ def load_game_dict(d: dict) -> LoadedGame:
         for s in sets:
             members = _field(s, "members", "packing set")
             weight = parse_rat(_field(s, "weight", "packing set"))
-            _require(all(0 <= int(p) < n for p in members), "set member out of range")
-            parsed.append((coalition_of(int(p) for p in members), weight))
+            _require(_ints(members), 'packing set "members" must be a list of integers')
+            _require(all(0 <= p < n for p in members), "set member out of range")
+            parsed.append((coalition_of(members), weight))
         _require(kind == "value", "packing games are value games")
         game = PackingGame(n, parsed)
     else:
@@ -130,8 +146,9 @@ def dump_allocation(y) -> dict:
 def load_subspace_dict(d: dict, n: int) -> LinearSubspace:
     _require(isinstance(d, dict) and "basis" in d, 'subspace file needs a "basis" list')
     rows = d["basis"]
+    _require(isinstance(rows, list), 'subspace "basis" must be a list')
     for row in rows:
-        _require(len(row) == n, f"basis rows must have {n} entries")
+        _require(isinstance(row, list) and len(row) == n, f"basis rows must have {n} entries")
     L = LinearSubspace.from_rows(
         [[parse_rat(v) for v in row] for row in rows], n
     )

@@ -250,7 +250,7 @@ def test_criterion_5_reduction_chain():
         inst = NZCycleInstance(g, tuple(costs), tuple(a))
         direct = shortest_nz_cycle_bruteforce(inst)
         bm, labels, smap = reduce_nzcycle_to_bmatch(inst)
-        rep = bmatch_nz_min_excess(bm, labels, strategy="exhaustive")
+        rep = bmatch_nz_min_excess(bm, labels)
         if direct is None:
             assert rep.excess > smap.K / 2
         else:
@@ -299,7 +299,7 @@ def test_criterion_6_few_capacity2_path():
         if checked % 10 == 0:
             counts = _gadget_cycles_nonzero_counts(produced)
             assert all(c <= k2 + 2 for c in counts)
-        got = bmatch_nz_min_excess(inst, a, strategy="few2")
+        got = bmatch_nz_min_excess(inst, a)
         want = brute_nz_min_excess(inst.game(), inst.y, a)
         assert got.excess == want.excess
         checked += 1

@@ -143,7 +143,7 @@ def test_subdivision_triangle():
     assert bm.graph.n == 6 and bm.graph.m == 6
     assert set(bm.b) == {2}
     assert labels[:3] == (0, 0, 0) and labels[3:] == (1, 0, 0)
-    rep = bmatch_nz_min_excess(bm, labels, strategy="exhaustive")
+    rep = bmatch_nz_min_excess(bm, labels)
     assert rep.excess == 3
     cyc_edges = smap.cycle_edges_of(rep.coalition)
     assert sorted(cyc_edges) == [0, 1, 2]
@@ -168,7 +168,7 @@ def test_cycle_game_loop_preserves_optimum():
         inst = NZCycleInstance(g, tuple(costs), tuple(a))
         direct = shortest_nz_cycle_bruteforce(inst)
         bm, labels, smap = reduce_nzcycle_to_bmatch(inst)
-        rep = bmatch_nz_min_excess(bm, labels, strategy="exhaustive")
+        rep = bmatch_nz_min_excess(bm, labels)
         if direct is None:
             assert rep.excess > smap.K / 2
         else:
@@ -223,9 +223,8 @@ def test_strategies_agree_with_brute():
     for trial in range(20):
         inst, a = rand_bmatch(rng)
         want = brute_nz_min_excess(inst.game(), inst.y, a)
-        for strategy in ("exhaustive", "few2"):
-            got = bmatch_nz_min_excess(inst, a, strategy=strategy)
-            assert got.excess == want.excess, (strategy, trial)
+        got = bmatch_nz_min_excess(inst, a)
+        assert got.excess == want.excess, trial
 
 
 def test_lsa_matches_brute():
@@ -237,15 +236,8 @@ def test_lsa_matches_brute():
         L = LinearSubspace.from_rows(random_subspace_rows(n, n - 1, 7000 + done), n)
         if not L.is_proper():
             continue
-        got = bmatch_lsa_min_excess(inst, L, strategy="exhaustive")
+        got = bmatch_lsa_min_excess(inst, L)
         want = brute_lsa_min_excess(inst.game(), inst.y, L)
         assert got.excess == want.excess
         done += 1
 
-
-def test_auto_strategy_picks_few2_for_small_b2_count():
-    rng = random.Random(10)
-    inst, a = rand_bmatch(rng)
-    rep_auto = bmatch_nz_min_excess(inst, a, strategy="auto")
-    rep_brute = bmatch_nz_min_excess(inst, a, strategy="brute")
-    assert rep_auto.excess == rep_brute.excess

@@ -156,6 +156,15 @@ MALFORMED_GAMES = {
     "packing set without members": ("value", 2, {"type": "packing", "sets": [{"weight": "1"}]}),
     "packing set without weight": ("value", 2, {"type": "packing", "sets": [{"members": [0]}]}),
     "packing set not an object": ("value", 2, {"type": "packing", "sets": [[0, 1]]}),
+    "packing members not a list": (
+        "value", 2, {"type": "packing", "sets": [{"members": 5, "weight": "1"}]},
+    ),
+    "graph edges not a list": ("cost", 1, {"type": "arboricity", "graph": {"n": 2, "edges": 7}}),
+    "graph edge not a pair": ("cost", 1, {"type": "arboricity", "graph": {"n": 2, "edges": [5]}}),
+    "bmatching w not a list": ("value", 2, {"type": "bmatching", "graph": GRAPH, "w": 5, "b": [1, 1]}),
+    "bmatching b with null": (
+        "value", 2, {"type": "bmatching", "graph": GRAPH, "w": ["1"], "b": [None, 1]},
+    ),
 }
 
 
@@ -165,6 +174,15 @@ def test_malformed_game_files_fail_with_json(capsys, tmp_path, case):
     players = [f"p{i}" for i in range(n)]
     path = write(tmp_path, "game.json", {"kind": kind, "players": players, "game": spec})
     code, out, err = run(capsys, ["solve", path])
+    assert code == 1 and out == ""
+    assert isinstance(json.loads(err), dict)
+
+
+@pytest.mark.parametrize("basis", [5, [5]], ids=["number", "row not a list"])
+def test_malformed_subspace_fails_with_json(capsys, tmp_path, unanimity_file, basis):
+    y = write(tmp_path, "y.json", {"y": ["1/3", "1/3", "1/3"]})
+    sub = write(tmp_path, "sub.json", {"basis": basis})
+    code, out, err = run(capsys, ["min-excess", unanimity_file, "--y", y, "--subspace", sub])
     assert code == 1 and out == ""
     assert isinstance(json.loads(err), dict)
 

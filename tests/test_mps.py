@@ -4,7 +4,14 @@ from fractions import Fraction as F
 import pytest
 
 from nucnz.fixtures import random_monotone_game
-from nucnz.games import TableGame, brute_lsa_min_excess, excess, make_allocation
+from nucnz.games import (
+    CapExceededError,
+    GameOracle,
+    TableGame,
+    brute_lsa_min_excess,
+    excess,
+    make_allocation,
+)
 from nucnz.linalg import LinearSubspace
 from nucnz.mps import MpsError, least_core, mps_nucleolus, reference_nucleolus
 
@@ -108,6 +115,15 @@ def test_dummy_player_gets_own_value():
         res = mps_nucleolus(g)
         assert res.allocation[n] == dummy_val
         assert res.allocation == reference_nucleolus(g).allocation
+
+
+def test_reference_refuses_eight_players_before_any_value():
+    class Unevaluable(GameOracle):
+        def value(self, mask):
+            raise AssertionError("the cap must refuse before any value is read")
+
+    with pytest.raises(CapExceededError):
+        reference_nucleolus(Unevaluable(8))
 
 
 def test_cost_game_additive():
