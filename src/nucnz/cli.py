@@ -48,9 +48,12 @@ from .nz import LSAInstance, lsa_to_nz
 from .serialize import (
     GameFileError,
     LoadedGame,
+    graph_field,
+    int_list_field,
     load_allocation_dict,
     load_game_dict,
     load_subspace_dict,
+    rat_list_field,
 )
 
 __all__ = ["main"]
@@ -177,24 +180,22 @@ def cmd_min_excess(args) -> int:
 
 def cmd_reduce(args) -> int:
     d = _read_json(args.file)
+    what = f"{args.step} input"
     try:
+        g = graph_field(d, what)
         if args.step == "a2m":
-            g = Graph.from_json_dict(d["graph"])
             inst = BMatchInstance(
                 g,
-                tuple(parse_rat(v) for v in d["w"]),
-                tuple(int(v) for v in d["b"]),
-                tuple(parse_rat(v) for v in d["y"]),
+                tuple(rat_list_field(d, "w", what)),
+                tuple(int_list_field(d, "b", what)),
+                tuple(rat_list_field(d, "y", what)),
             )
-            a = [int(v) for v in d["a"]]
+            a = int_list_field(d, "a", what)
             produced, gm = reduce_bmatch_to_nzmatching(inst, a)
             out = {"instance": produced.to_json_dict(), "gadget_map": gm.to_json_dict()}
         elif args.step == "m2c":
-            g = Graph.from_json_dict(d["graph"])
             inst = NZMatchingInstance(
-                g,
-                tuple(parse_rat(v) for v in d["w"]),
-                tuple(int(v) for v in d["a"]),
+                g, tuple(rat_list_field(d, "w", what)), tuple(int_list_field(d, "a", what))
             )
             red = reduce_nzmatching_to_nzcycle(inst)
             if red.direct is not None:
@@ -214,9 +215,8 @@ def cmd_reduce(args) -> int:
                     },
                 }
         elif args.step == "c2b":
-            g = Graph.from_json_dict(d["graph"])
             inst = NZCycleInstance.checked(
-                g, [parse_rat(v) for v in d["c"]], [int(v) for v in d["a"]]
+                g, rat_list_field(d, "c", what), int_list_field(d, "a", what)
             )
             bm, labels, smap = reduce_nzcycle_to_bmatch(inst)
             out = {
@@ -225,7 +225,7 @@ def cmd_reduce(args) -> int:
             }
         else:  # pragma: no cover - argparse restricts choices
             raise CliError(f"unknown reduction step {args.step!r}")
-    except (KeyError, ValueError) as e:
+    except ValueError as e:
         raise CliError("malformed reduction input", {"cause": str(e)})
     print(json.dumps(out, indent=2))
     return 0

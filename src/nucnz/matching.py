@@ -4,9 +4,11 @@ matching values, perfect-matching padding and minimum-cost T-joins.
 Matchings are edge-id sets over :class:`~nucnz.graphs.Graph`, so parallel
 edges stay distinguishable.  Small instances are solved by direct
 enumeration; larger ones go through the blossom implementation of
-networkx, fed with exact rationals (its arithmetic stays in Q), after
-collapsing parallels and dropping loops and negative edges, none of which
-can improve a maximum-weight matching.
+networkx, after collapsing parallels and dropping loops and negative
+edges, none of which can improve a maximum-weight matching.  Every blossom
+call goes through ``_blossom``, which scales the rational weights to
+integers by the lcm of their denominators: networkx then keeps its dual
+updates in integers and verifies the optimum it returns.
 """
 
 from __future__ import annotations
@@ -79,20 +81,46 @@ def _brute_max_matching(g: Graph, w: Sequence[Fraction]) -> tuple[int, ...]:
     return best
 
 
-def _collapse_for_blossom(g: Graph, w: Sequence[Fraction], keep_negative: bool):
-    """Best representative per vertex pair; loops dropped."""
+def _collapse_parallels(g: Graph, w: Sequence[Fraction], keep_negative: bool):
+    """Heaviest edge per vertex pair (lower id on ties); loops dropped."""
     rep: dict[tuple[int, int], int] = {}
     for e in range(g.m):
         u, v = g.edges[e]
         if u == v:
             continue
-        if not keep_negative and Fraction(w[e]) < 0:
+        if not keep_negative and w[e] < 0:
             continue
-        key = (min(u, v), max(u, v))
+        key = (u, v) if u < v else (v, u)
         old = rep.get(key)
-        if old is None or (Fraction(w[e]), -e) > (Fraction(w[old]), -old):
+        if old is None or w[e] > w[old]:
             rep[key] = e
     return rep
+
+
+def _integer_scaled(ws: Sequence[Fraction]) -> list[int]:
+    """The weights times the lcm of their denominators: exact integers
+    with the same order, so the same optima."""
+    den = lcm(*(x.denominator for x in ws))
+    return [x.numerator * (den // x.denominator) for x in ws]
+
+
+def _blossom(g: Graph, w: Sequence[Fraction], perfect: bool) -> tuple[int, ...] | None:
+    """networkx blossom on the collapsed graph with integer-scaled weights.
+
+    A perfect matching may use negative edges; a plain maximum-weight
+    matching never does.  Returns sorted edge ids, or None when
+    ``perfect`` and no perfect matching exists.
+    """
+    rep = _collapse_parallels(g, w, keep_negative=perfect)
+    scaled = _integer_scaled([w[e] for e in rep.values()])
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    for ((u, v), e), we in zip(rep.items(), scaled):
+        G.add_edge(u, v, weight=we, eid=e)
+    mate = nx.max_weight_matching(G, maxcardinality=perfect)
+    if perfect and 2 * len(mate) != g.n:
+        return None
+    return tuple(sorted(G[u][v]["eid"] for u, v in mate))
 
 
 def max_weight_matching(g: Graph, w: Sequence[Fraction]) -> tuple[int, ...]:
@@ -103,13 +131,7 @@ def max_weight_matching(g: Graph, w: Sequence[Fraction]) -> tuple[int, ...]:
     """
     if g.m <= BRUTE_EDGE_LIMIT:
         return _brute_max_matching(g, w)
-    rep = _collapse_for_blossom(g, w, keep_negative=False)
-    G = nx.Graph()
-    G.add_nodes_from(range(g.n))
-    for (u, v), e in rep.items():
-        G.add_edge(u, v, weight=Fraction(w[e]), eid=e)
-    mate = nx.max_weight_matching(G)
-    return tuple(sorted(G[u][v]["eid"] for u, v in mate))
+    return _blossom(g, w, perfect=False)
 
 
 def max_weight_perfect_matching(
@@ -118,15 +140,7 @@ def max_weight_perfect_matching(
     """Maximum-weight perfect matching, or None if no perfect matching."""
     if g.n % 2:
         return None
-    rep = _collapse_for_blossom(g, w, keep_negative=True)
-    G = nx.Graph()
-    G.add_nodes_from(range(g.n))
-    for (u, v), e in rep.items():
-        G.add_edge(u, v, weight=Fraction(w[e]), eid=e)
-    mate = nx.max_weight_matching(G, maxcardinality=True)
-    if 2 * len(mate) != g.n:
-        return None
-    return tuple(sorted(G[u][v]["eid"] for u, v in mate))
+    return _blossom(g, w, perfect=True)
 
 
 def b_matching_value(
@@ -282,18 +296,11 @@ def t_join_exists(g: Graph, T: Iterable[int]) -> bool:
     return all(c % 2 == 0 for c in counts.values())
 
 
-def _dijkstra(g: Graph, dist_w: Sequence[int], source: int):
-    INF = None
-    dist: list[int | None] = [INF] * g.n
-    prev_edge: list[int] = [-1] * g.n
+def _dijkstra(adj: list[list[tuple[int, int, int]]], source: int):
+    dist: list[int | None] = [None] * len(adj)
+    prev_edge: list[int] = [-1] * len(adj)
     dist[source] = 0
     heap = [(0, source)]
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
-    for e, (u, v) in enumerate(g.edges):
-        if u == v:
-            continue
-        adj[u].append((v, dist_w[e], e))
-        adj[v].append((u, dist_w[e], e))
     while heap:
         d, x = heapq.heappop(heap)
         if dist[x] != d:
@@ -339,29 +346,38 @@ def min_cost_t_join(g: Graph, costs: Sequence[Fraction], T: Iterable[int]) -> tu
 
     join: set[int] = set()
     if tp:
-        # integer-scaled absolute costs for the shortest-path phase
-        den = lcm(*(c.denominator for c in cf))
-        dist_w = [abs(int(c * den)) for c in cf]
-        dists = {}
-        prevs = {}
-        for s in tp:
-            d, pe = _dijkstra(g, dist_w, s)
-            dists[s] = d
-            prevs[s] = pe
-        K = nx.Graph()
-        K.add_nodes_from(tp)
-        for i, u in enumerate(tp):
-            for v in tp[i + 1:]:
-                if dists[u][v] is not None:
-                    K.add_edge(u, v, weight=dists[u][v])
-        mate = nx.min_weight_matching(K)
-        if 2 * len(mate) != len(tp):
+        # integer-scaled absolute costs; one adjacency, cheapest parallel
+        # edge per pair, serves every shortest-path source
+        dist_w = [abs(c) for c in _integer_scaled(cf)]
+        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+        for (u, v), e in _collapse_parallels(g, [-d for d in dist_w], True).items():
+            adj[u].append((v, dist_w[e], e))
+            adj[v].append((u, dist_w[e], e))
+        # the closure edge (i, j), i < j, reads the tree of tp[i] only
+        paths = [_dijkstra(adj, s) for s in tp[:-1]]
+        pairs = [
+            (i, j)
+            for i in range(len(tp))
+            for j in range(i + 1, len(tp))
+            if paths[i][0][tp[j]] is not None
+        ]
+        # minimum-cost perfect matching of the metric closure on T', as a
+        # maximum-weight one under top - d: the shift adds the same amount
+        # to every perfect matching, and the blossom converges faster on
+        # positive weights than on negated distances
+        closure = [paths[i][0][tp[j]] for i, j in pairs]
+        top = max(closure, default=0) + 1
+        mate = max_weight_perfect_matching(
+            Graph(len(tp), tuple(pairs)), [top - d for d in closure]
+        )
+        if mate is None:
             raise ValueError("no T-join exists: targets not pairable")
-        for u, v in mate:
-            # walk the shortest path back from v to u
-            cur = v
-            while cur != u:
-                e = prevs[u][cur]
+        for i, j in (pairs[k] for k in mate):
+            # walk the shortest path back from tp[j] to tp[i]
+            prev = paths[i][1]
+            cur = tp[j]
+            while cur != tp[i]:
+                e = prev[cur]
                 join ^= {e}
                 x, y = g.edges[e]
                 cur = x if y == cur else y

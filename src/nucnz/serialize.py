@@ -27,6 +27,9 @@ __all__ = [
     "load_allocation_dict",
     "dump_allocation",
     "load_subspace_dict",
+    "graph_field",
+    "rat_list_field",
+    "int_list_field",
 ]
 
 
@@ -62,13 +65,26 @@ def _list(d, key: str, what: str) -> list:
     return v
 
 
-def _graph(spec: dict, what: str) -> Graph:
+def graph_field(spec: dict, what: str) -> Graph:
+    """The checked ``"graph"`` entry of ``spec``; ``what`` names ``spec`` in errors."""
     g = _field(spec, "graph", what)
     n = _field(g, "n", "graph")
     edges = _list(g, "edges", "graph")
     _require(isinstance(n, int), 'graph "n" must be an integer')
     _require(all(_ints(e) and len(e) == 2 for e in edges), "graph edges must be integer pairs")
     return Graph.of(n, edges)
+
+
+def rat_list_field(d, key: str, what: str) -> list[Fraction]:
+    """The checked list of rationals under ``key``."""
+    return [parse_rat(v) for v in _list(d, key, what)]
+
+
+def int_list_field(d, key: str, what: str) -> list[int]:
+    """The checked list of integers under ``key``."""
+    v = _list(d, key, what)
+    _require(_ints(v), f'{what} "{key}" must be a list of integers')
+    return v
 
 
 def load_game_dict(d: dict) -> LoadedGame:
@@ -88,20 +104,19 @@ def load_game_dict(d: dict) -> LoadedGame:
         _require(len(values) == 1 << n, "table must list all 2^n coalition values")
         game: GameOracle = TableGame([parse_rat(v) for v in values], kind=kind)
     elif gtype == "bmatching":
-        graph = _graph(spec, "bmatching game")
+        graph = graph_field(spec, "bmatching game")
         _require(graph.n == n, "players must match the vertex count")
-        w = [parse_rat(v) for v in _list(spec, "w", "bmatching game")]
-        b = _field(spec, "b", "bmatching game")
-        _require(_ints(b), 'bmatching game "b" must be a list of integers')
+        w = rat_list_field(spec, "w", "bmatching game")
+        b = int_list_field(spec, "b", "bmatching game")
         _require(kind == "value", "degree-capped matching games are value games")
         game = BMatchingGame(graph, w, b)
     elif gtype == "arboricity":
-        graph = _graph(spec, "arboricity game")
+        graph = graph_field(spec, "arboricity game")
         _require(graph.m == n, "players must match the edge count")
         _require(kind == "cost", "forest-cover games are cost games")
         game = ArboricityGame(graph)
     elif gtype == "network_strength":
-        graph = _graph(spec, "network_strength game")
+        graph = graph_field(spec, "network_strength game")
         _require(graph.m == n, "players must match the edge count")
         _require(kind == "value", "spanning-tree-packing games are value games")
         game = NetworkStrengthGame(graph)

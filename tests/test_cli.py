@@ -178,6 +178,23 @@ def test_malformed_game_files_fail_with_json(capsys, tmp_path, case):
     assert isinstance(json.loads(err), dict)
 
 
+MALFORMED_REDUCTIONS = {
+    "a2m w not a list": (
+        "a2m", {"graph": GRAPH, "w": 5, "b": [1, 1], "y": ["1", "2"], "a": [1, 0]},
+    ),
+    "m2c a not a list": ("m2c", {"graph": GRAPH, "w": ["3"], "a": 7}),
+    "c2b edge not a pair": ("c2b", {"graph": {"n": 2, "edges": [5]}, "c": ["1"], "a": [1]}),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_REDUCTIONS))
+def test_malformed_reduction_inputs_fail_with_json(capsys, tmp_path, case):
+    step, payload = MALFORMED_REDUCTIONS[case]
+    code, out, err = run(capsys, ["reduce", step, write(tmp_path, "in.json", payload)])
+    assert code == 1 and out == ""
+    assert isinstance(json.loads(err), dict)
+
+
 @pytest.mark.parametrize("basis", [5, [5]], ids=["number", "row not a list"])
 def test_malformed_subspace_fails_with_json(capsys, tmp_path, unanimity_file, basis):
     y = write(tmp_path, "y.json", {"y": ["1/3", "1/3", "1/3"]})

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction as F
 
+import networkx as nx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     brute_b_matching_value,
@@ -187,3 +190,50 @@ def test_conservativeness_check_matches_enumeration():
         g = random_graph(n, rng.randint(1, 7), 1300 + trial)
         costs = [F(rng.randint(-3, 6)) for _ in range(g.m)]
         assert is_conservative(g, costs) == (not has_negative_cycle(g, costs))
+
+
+@given(data=st.data())
+def test_t_join_property_on_multigraphs(data):
+    """Parallel edges of different cost, loops, zero and negative costs:
+    the shared shortest-path adjacency keeps the cheapest parallel edge and
+    the walk back along its tree still yields a cheapest join of parity T."""
+    n = data.draw(st.integers(2, 5), label="n")
+    vertex = st.integers(0, n - 1)
+    cost = st.builds(F, st.integers(-4, 5), st.sampled_from([1, 2]))
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=7), label="edges")
+    copies = data.draw(st.lists(st.sampled_from(edges), max_size=3), label="parallel copies")
+    g = Graph.of(n, edges + copies)
+    costs = data.draw(st.lists(cost, min_size=g.m, max_size=g.m), label="costs")
+    T = sorted(data.draw(st.sets(vertex), label="T"))
+    if len(T) % 2 or not t_join_exists(g, T):
+        with pytest.raises(ValueError):
+            min_cost_t_join(g, costs, T)
+        return
+    got = sum(1 << e for e in min_cost_t_join(g, costs, T))
+    assert odd_degree_set(g, got) == frozenset(T)
+    assert subset_sum(costs, got) == brute_min_t_join(g, costs, T)[0]
+
+
+def test_only_integer_weights_reach_networkx(monkeypatch):
+    """Half-integer weights, as the gadgets produce, reach the blossom
+    scaled to ints from every caller, never as Fraction or float."""
+    real = nx.max_weight_matching
+    seen = []
+
+    def spy(G, *args, **kwargs):
+        seen.extend(type(d["weight"]) for _, _, d in G.edges(data=True))
+        return real(G, *args, **kwargs)
+
+    monkeypatch.setattr(nx, "max_weight_matching", spy)
+    g = random_graph(7, 16, 5)
+    half = [F(2 * e - 13, 2) for e in range(g.m)]
+    padded = pad_to_perfect(g, half, [0] * g.m)
+    callers = {
+        "max_weight_matching": lambda: max_weight_matching(g, half),
+        "max_weight_perfect_matching": lambda: max_weight_perfect_matching(padded.graph, padded.w),
+        "min_cost_t_join": lambda: min_cost_t_join(g, half, [0, 1, 2, 3]),
+    }
+    for name, call in callers.items():
+        seen.clear()
+        call()
+        assert seen and set(seen) == {int}, name
