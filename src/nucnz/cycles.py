@@ -175,15 +175,16 @@ def shortest_nz_cycle_bruteforce(inst: NZCycleInstance) -> CycleReport | None:
 
 
 def _candidate_cycles_for_guess(
-    inst: NZCycleInstance, guess: tuple[int, ...]
+    inst: NZCycleInstance,
+    zg: Graph,
+    zcosts: Sequence[Fraction],
+    zero_ids: Sequence[int],
+    guess: tuple[int, ...],
 ) -> list[tuple[int, ...]]:
     """Complete a non-zero-edge guess with a min-cost parity join over the
-    zero-labeled subgraph and split the union into simple cycles."""
+    zero-labeled subgraph zg (edge i of zg is edge zero_ids[i] of the
+    instance) and split the union into simple cycles."""
     g = inst.graph
-    zero_ids = [e for e in range(g.m) if inst.a[e] == 0]
-    id_map = {new: old for new, old in enumerate(zero_ids)}
-    zg = Graph(g.n, tuple(g.edges[e] for e in zero_ids))
-    zcosts = [inst.costs[e] for e in zero_ids]
     deg = [0] * g.n
     for e in guess:
         u, v = g.edges[e]
@@ -193,7 +194,7 @@ def _candidate_cycles_for_guess(
     if not t_join_exists(zg, odd):
         return []
     join = min_cost_t_join(zg, zcosts, odd)
-    union = set(guess) | {id_map[e] for e in join}
+    union = set(guess) | {zero_ids[e] for e in join}
     return decompose_into_cycles(g, union)
 
 
@@ -202,12 +203,16 @@ def shortest_nz_cycle_few_nonzero(inst: NZCycleInstance, k: int) -> CycleReport 
     edges; sweep all label-carrying subsets up to that size."""
     g = inst.graph
     nz_edges = [e for e in range(g.m) if inst.a[e] != 0]
+    # The zero-labeled subgraph is the same for every guess.
+    zero_ids = [e for e in range(g.m) if inst.a[e] == 0]
+    zg = Graph(g.n, tuple(g.edges[e] for e in zero_ids))
+    zcosts = [inst.costs[e] for e in zero_ids]
     best: tuple[Fraction, tuple[int, ...]] | None = None
     for size in range(1, min(k, len(nz_edges)) + 1):
         for guess in combinations(nz_edges, size):
             if inst.label_of(guess) == 0:
                 continue
-            for cyc in _candidate_cycles_for_guess(inst, guess):
+            for cyc in _candidate_cycles_for_guess(inst, zg, zcosts, zero_ids, guess):
                 if inst.label_of(cyc) == 0:
                     continue
                 key = (inst.cost_of(cyc), cyc)

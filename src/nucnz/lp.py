@@ -1,10 +1,21 @@
 """Exact rational LP solving: two-phase simplex with integer pivoting.
 
+The tableau has one column per variable (free variables are not split),
+one unit column per row (a slack on an inequality, an artificial on an
+equality), one phase-1 helper column, then b.  Each free variable is
+pivoted once into a row that holds none yet; that row takes no part in
+any ratio test, so the variable never leaves.  The helper then covers
+every row whose basic value is negative and enters at the most negative
+one, which makes the basis feasible, and phase 1 minimizes the helper
+plus the artificials still basic.  The duals are the reduced costs of the
+unit columns at the optimum.
+
 The tableau holds arbitrary-precision integers with a single running
-denominator (the previous pivot), so no rational normalization happens in
-the hot loop and every intermediate quantity is exact.  A Dantzig pivot
-rule is used first for speed and the solver switches permanently to
-Bland's rule after a fixed number of iterations, which guarantees
+denominator (the previous pivot, as in Bareiss elimination), so no
+rational normalization happens in the hot loop, every division is
+checked to be exact and every intermediate quantity is exact.  A Dantzig
+pivot rule is used first for speed and the solver switches permanently
+to Bland's rule after a fixed number of iterations, which guarantees
 termination.  Optimal solutions come with exact duals, and a strong
 duality certificate is checked before returning.
 """
@@ -82,42 +93,41 @@ class LPSolution:
 class _Tableau:
     """Integer simplex tableau with a shared denominator."""
 
-    def __init__(self, rows: list[list[int]], costs: list[list[int]], m: int):
+    def __init__(self, rows: list[list[int]], costs: list[list[int]]):
         self.rows = rows
         self.costs = costs
-        self.m = m
         self.den = 1
 
     def pivot(self, r: int, c: int) -> None:
+        # Bareiss step with the pivot's sign folded in, so that the shared
+        # denominator stays positive: every other row becomes
+        # (|p| row - sign(p) f rowr) / den, and each division must be exact.
+        # A row with f == 0 is unchanged when |p| == den.
         den = self.den
         rowr = self.rows[r]
         p = rowr[c]
+        sign = -1 if p < 0 else 1
+        p *= sign
         for block in (self.rows, self.costs):
             for row in block:
                 if row is rowr:
                     continue
-                f = row[c]
+                f = row[c] * sign
                 if f:
                     for j in range(len(row)):
-                        num = p * row[j] - f * rowr[j]
-                        q, rem = divmod(num, den)
+                        q, rem = divmod(p * row[j] - f * rowr[j], den)
                         if rem:
                             raise LPError("integer pivot lost exactness")
                         row[j] = q
-                else:
+                elif p != den:
                     for j in range(len(row)):
-                        num = p * row[j]
-                        q, rem = divmod(num, den)
+                        q, rem = divmod(p * row[j], den)
                         if rem:
                             raise LPError("integer pivot lost exactness")
                         row[j] = q
+        if sign < 0:
+            rowr[:] = [-v for v in rowr]
         self.den = p
-        if self.den < 0:
-            self.den = -self.den
-            for block in (self.rows, self.costs):
-                for row in block:
-                    for j in range(len(row)):
-                        row[j] = -row[j]
 
 
 def _choose_entering(cost: list[int], allowed: list[int], bland: bool) -> int | None:
@@ -136,14 +146,15 @@ def _choose_entering(cost: list[int], allowed: list[int], bland: bool) -> int | 
     return best
 
 
-def _choose_leaving(tab: _Tableau, c: int, basis: list[int], bcol: int) -> int | None:
+def _choose_leaving(tab: _Tableau, c: int, basis: list[int], rest: list[int]) -> int | None:
     best = None
     best_b = 0
     best_t = 0
-    for i in range(tab.m):
-        t = tab.rows[i][c]
+    for i in rest:
+        row = tab.rows[i]
+        t = row[c]
         if t > 0:
-            b = tab.rows[i][bcol]
+            b = row[-1]
             if best is None:
                 best, best_b, best_t = i, b, t
             else:
@@ -160,147 +171,134 @@ def solve_lp_exact(lp: LPInstance, verify: bool = True) -> LPSolution:
     n = lp.n_vars
     m = len(lp.rows)
 
-    # Column layout: split free variables, then one slack per inequality,
-    # then one artificial per row; the last column holds b.
-    col_pos: list[int] = []
-    col_neg: list[int | None] = []
-    ncols = 0
-    for j in range(n):
-        col_pos.append(ncols)
-        ncols += 1
-        if lp.free[j]:
-            col_neg.append(ncols)
-            ncols += 1
-        else:
-            col_neg.append(None)
-    slack_col: dict[int, int] = {}
-    for i, (_, sense, _) in enumerate(lp.rows):
-        if sense != "==":
-            slack_col[i] = ncols
-            ncols += 1
-    art_col = [ncols + i for i in range(m)]
-    ncols += m
-    bcol = ncols
-
-    # Objective scaled to integers (we minimize the negated objective).
+    # Row i is scaled to integers by orient[i], negated on ">=" rows so
+    # that its unit column n + i is a +1 slack.
+    helper = n + m
+    bcol = helper + 1
     sigma = lcm(*(v.denominator for v in lp.objective))
-    cint = [int(v * sigma) for v in lp.objective]
-
-    rows_int: list[list[int]] = []
-    row_scale: list[int] = []
-    row_flip: list[int] = []
+    # Phase-2 cost row: minimize -sigma * objective.
+    cost2 = [-int(v * sigma) for v in lp.objective] + [0] * (m + 2)
+    rows: list[list[int]] = []
+    orient: list[int] = []
     for i, (coeffs, sense, rhs) in enumerate(lp.rows):
         rho = lcm(rhs.denominator, *(v.denominator for v in coeffs))
-        a = [int(v * rho) for v in coeffs]
-        b = int(rhs * rho)
-        flip = -1 if b < 0 else 1
-        row = [0] * (ncols + 1)
-        for j in range(n):
-            row[col_pos[j]] = flip * a[j]
-            if col_neg[j] is not None:
-                row[col_neg[j]] = -flip * a[j]
-        if sense == "<=":
-            row[slack_col[i]] = flip
-        elif sense == ">=":
-            row[slack_col[i]] = -flip
-        row[art_col[i]] = 1
-        row[bcol] = flip * b
-        rows_int.append(row)
-        row_scale.append(rho)
-        row_flip.append(flip)
+        if sense == ">=":
+            rho = -rho
+        row = [int(v * rho) for v in coeffs] + [0] * (m + 2)
+        row[n + i] = 1
+        row[bcol] = int(rhs * rho)
+        rows.append(row)
+        orient.append(rho)
+    tab = _Tableau(rows, [cost2])
+    basis = [n + i for i in range(m)]
+    equality = [sense == "==" for _, sense, _ in lp.rows]
+    artificial = {n + i for i in range(m) if equality[i]}
 
-    # Phase-2 cost row: minimize -sigma * objective; artificials cost 0.
-    cost2 = [0] * (ncols + 1)
+    # Each free variable enters once, in a row that holds none yet, and
+    # never leaves: its row takes no part in any ratio test.
+    rest = list(range(m))
     for j in range(n):
-        cost2[col_pos[j]] = -cint[j]
-        if col_neg[j] is not None:
-            cost2[col_neg[j]] = cint[j]
-    # Phase-1 cost row: minimize the artificial sum, reduced against the
-    # initial all-artificial basis.
-    cost1 = [0] * (ncols + 1)
-    for j in range(ncols + 1):
-        cost1[j] = -sum(row[j] for row in rows_int)
-    for i in range(m):
-        cost1[art_col[i]] += 1
+        if lp.free[j]:
+            r = _free_row(rows, rest, j, equality)
+            if r is not None:
+                tab.pivot(r, j)
+                basis[r] = j
+                rest.remove(r)
 
-    tab = _Tableau(rows_int, [cost2, cost1], m)
-    basis = art_col.copy()
-
-    structural = [j for j in range(ncols) if j not in set(art_col)]
-    all_cols = list(range(ncols))
-
-    bland_after = 100 + 10 * (m + ncols)
-    hard_cap = 500000
+    structural = [j for j in range(n) if not lp.free[j]]
+    structural += [n + i for i in range(m) if not equality[i]]
+    bland_after = 100 + 10 * (m + bcol)
 
     def run(cost_row: list[int], allowed: list[int]) -> str:
         iters = 0
         while True:
             iters += 1
-            if iters > hard_cap:
+            if iters > 500000:
                 raise LPError("simplex iteration cap exceeded")
             c = _choose_entering(cost_row, allowed, bland=iters > bland_after)
             if c is None:
                 return "optimal"
-            r = _choose_leaving(tab, c, basis, bcol)
+            r = _choose_leaving(tab, c, basis, rest)
             if r is None:
                 return "unbounded"
             tab.pivot(r, c)
             basis[r] = c
 
-    status1 = run(cost1, all_cols)
-    if status1 != "optimal":
-        raise LPError("phase 1 cannot be unbounded")
-    if cost1[bcol] < 0:
-        return LPSolution(status="infeasible")
-
-    # Drive basic artificials out (degenerate pivots are safe: b == 0).
-    art_set = set(art_col)
-    for r in range(m):
-        if basis[r] in art_set:
-            target = None
-            for j in structural:
-                if tab.rows[r][j] != 0:
-                    target = j
-                    break
+    # Phase 1: the helper column covers every row with a negative basic
+    # value and enters at the most negative one; then minimize the helper
+    # plus the basic artificials.
+    negative = [i for i in rest if rows[i][bcol] < 0]
+    held = [i for i in rest if basis[i] in artificial]
+    if negative or any(rows[i][bcol] for i in held):
+        den = tab.den
+        for i in negative:
+            rows[i][helper] = -den
+        cost1 = [0] * (bcol + 1)
+        cost1[helper] = den
+        for i in held:
+            for j, v in enumerate(rows[i]):
+                cost1[j] -= v
+            cost1[basis[i]] += den
+        tab.costs.append(cost1)
+        if negative:
+            r = min(negative, key=lambda i: rows[i][bcol])
+            tab.pivot(r, helper)
+            basis[r] = helper
+        if run(cost1, structural + [helper]) != "optimal":
+            raise LPError("phase 1 cannot be unbounded")
+        if cost1[bcol] < 0:
+            return LPSolution(status="infeasible")
+        tab.costs.pop()
+    # Drive the helper and the artificials out; they are basic at zero,
+    # so these pivots are degenerate whatever the sign of the entry.
+    for r in rest:
+        if basis[r] == helper or basis[r] in artificial:
+            target = next((j for j in structural if rows[r][j]), None)
             if target is not None:
                 tab.pivot(r, target)
                 basis[r] = target
             # Otherwise the row is redundant; its artificial stays basic
-            # at zero and never moves (the row has no structural entries).
+            # at zero and never moves (no allowed column has an entry).
 
-    tab.costs = [cost2]
-    status2 = run(cost2, structural)
-    if status2 == "unbounded":
+    # A free variable that found no row has a zero column in every row
+    # left to the simplex: if it still has a cost, it is a free ray.
+    basic = set(basis)
+    if any(cost2[j] for j in range(n) if lp.free[j] and j not in basic):
+        return LPSolution(status="unbounded")
+    if run(cost2, structural) == "unbounded":
         return LPSolution(status="unbounded")
 
     den = tab.den
-    values: dict[int, Fraction] = {}
-    for r in range(m):
-        values[basis[r]] = Fraction(tab.rows[r][bcol], den)
-    x = []
-    for j in range(n):
-        v = values.get(col_pos[j], Fraction(0))
-        if col_neg[j] is not None:
-            v = v - values.get(col_neg[j], Fraction(0))
-        x.append(v)
+    x = [Fraction(0)] * n
+    for r, j in enumerate(basis):
+        if j < n:
+            x[j] = Fraction(rows[r][bcol], den)
     objective = sum((cj * xj for cj, xj in zip(lp.objective, x)), Fraction(0))
+    # The reduced cost of row i's unit column is minus its dual in the
+    # scaled, oriented, minimizing form.
+    duals = tuple(Fraction(cost2[n + i] * orient[i], den * sigma) for i in range(m))
 
-    duals = []
-    for i in range(m):
-        # Reduced cost of artificial i equals minus the standard-form dual.
-        red = Fraction(cost2[art_col[i]], den)
-        d = red * row_flip[i] * row_scale[i] / sigma
-        duals.append(d)
-
-    sol = LPSolution(
-        status="optimal",
-        x=tuple(x),
-        duals=tuple(duals),
-        objective=objective,
-    )
+    sol = LPSolution(status="optimal", x=tuple(x), duals=duals, objective=objective)
     if verify:
         _verify_certificate(lp, sol)
     return sol
+
+
+def _free_row(rows: list[list[int]], rest: list[int], j: int, equality: list[bool]) -> int | None:
+    """The row of ``rest`` where free column j enters: an inequality row
+    before an equality, then the smallest |b_i / a_ij|, then the lowest
+    index.  (Of the rules tried, this one left the fewest LP solves in
+    the nucleolus schemes.)"""
+    best = None
+    for i in rest:
+        a = rows[i][j]
+        if a and (
+            best is None
+            or (equality[i], abs(rows[i][-1] * rows[best][j]))
+            < (equality[best], abs(rows[best][-1] * a))
+        ):
+            best = i
+    return best
 
 
 def _verify_certificate(lp: LPInstance, sol: LPSolution) -> None:

@@ -311,3 +311,47 @@ def has_negative_cycle(graph, costs):
         if is_single_cycle(graph, mask) and subset_sum(costs, mask) < 0:
             return True
     return False
+
+
+def solve_square(a, b):
+    """Exact Gauss-Jordan solve of the square system a x = b; None if
+    a is singular."""
+    n = len(a)
+    aug = [[F(v) for v in row] + [F(rhs)] for row, rhs in zip(a, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col] / aug[col][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [aug[i][n] / aug[i][i] for i in range(n)]
+
+
+def brute_lp_max(objective, rows, free):
+    """Optimum of max objective.x over rows (coeffs, sense, rhs) and x_j >= 0
+    for the non-free j, by enumerating every vertex: each choice of n tight
+    constraints with a unique solution.  Only valid when the feasible set
+    is bounded.  Returns None when no vertex is feasible."""
+    n = len(objective)
+    tight = [(list(c), rhs) for c, _, rhs in rows]
+    tight += [([int(i == j) for i in range(n)], 0) for j in range(n) if not free[j]]
+
+    def feasible(x):
+        for c, sense, rhs in rows:
+            v = sum(F(a) * xi for a, xi in zip(c, x))
+            if (sense == "<=" and v > rhs) or (sense == ">=" and v < rhs) or (
+                sense == "==" and v != rhs
+            ):
+                return False
+        return all(free[j] or x[j] >= 0 for j in range(n))
+
+    best = None
+    for pick in combinations(tight, n):
+        x = solve_square([c for c, _ in pick], [rhs for _, rhs in pick])
+        if x is not None and feasible(x):
+            val = sum(F(c) * xi for c, xi in zip(objective, x))
+            best = val if best is None else max(best, val)
+    return best

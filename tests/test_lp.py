@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction as F
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import brute_lp_max
 from nucnz.lp import LPInstance, solve_lp_exact
 
 
@@ -151,3 +155,126 @@ def test_matches_bounded_box_enumeration():
                 best = val if best is None else max(best, val)
         assert best is not None
         assert sol.objective == best
+
+
+def test_free_variable_absent_from_every_row():
+    rows = [((0, 1), "<=", 3)]
+    sol = solve_lp_exact(LPInstance.maximize([0, 1], rows))
+    assert sol.status == "optimal"
+    assert sol.x == (0, 3) and sol.duals == (1,) and sol.objective == 3
+    assert solve_lp_exact(LPInstance.maximize([1, 1], rows)).status == "unbounded"
+    assert solve_lp_exact(LPInstance.maximize([-2, 0], rows)).status == "unbounded"
+    contradictory = rows + [((0, 1), ">=", 4)]
+    assert solve_lp_exact(LPInstance.maximize([1, 1], contradictory)).status == "infeasible"
+
+
+def test_square_equality_system():
+    # Every row is an equality holding a free variable: no phase 1.
+    lp = LPInstance.maximize([1, 2], [((1, 1), "==", -3), ((1, -1), "==", 1)])
+    sol = solve_lp_exact(lp)
+    assert sol.status == "optimal"
+    assert sol.x == (-1, -2)
+    assert sol.duals == (F(3, 2), F(-1, 2))
+    assert sol.objective == -5
+
+
+def test_redundant_equality_keeps_artificial_at_zero():
+    # After x and y enter, the doubled row has no entry left in any column
+    # the simplex may use, so its artificial stays basic at zero.
+    lp = LPInstance.maximize(
+        [1, 0], [((1, 1), "==", 2), ((2, 2), "==", 4), ((1, -1), "<=", 0)]
+    )
+    sol = solve_lp_exact(lp)
+    assert sol.status == "optimal"
+    assert sol.x == (1, 1) and sol.objective == 1
+    nonnegative = LPInstance.maximize(
+        [1, 1], [((1, 1), "==", 2), ((1, 1), "==", 2)], free=[False, False]
+    )
+    assert solve_lp_exact(nonnegative).objective == 2
+
+
+def test_drive_out_pivot_on_negative_entry():
+    # The artificial of -x == 0 is basic at zero and leaves on the -1.
+    lp = LPInstance.maximize(
+        [1, 1], [((-1, 0), "==", 0), ((0, 1), "<=", 2)], free=[False, False]
+    )
+    sol = solve_lp_exact(lp)
+    assert sol.status == "optimal"
+    assert sol.x == (0, 2) and sol.objective == 2
+    assert sol.duals[1] == 1
+
+
+RATIONALS = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+SENSES = st.sampled_from(["<=", ">=", "=="])
+
+
+@st.composite
+def mixed_rows(draw, n):
+    """Up to 6 rows of mixed senses; rhs 0 is common, and an equality may
+    be repeated (scaled) to make the system degenerate."""
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        eqs = [r for r in rows if r[1] == "=="]
+        if eqs and draw(st.booleans()):
+            coeffs, _, rhs = draw(st.sampled_from(eqs))
+            k = draw(st.sampled_from([1, 2, -1]))
+            rows.append((tuple(k * v for v in coeffs), "==", k * rhs))
+            continue
+        coeffs = tuple(draw(RATIONALS) for _ in range(n))
+        rhs = draw(st.one_of(st.just(F(0)), st.integers(-4, 4).map(F)))
+        rows.append((coeffs, draw(SENSES), rhs))
+    return rows
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_boxed_lps_match_vertex_enumeration(data):
+    # Up to 4 variables and 6 drawn rows, plus the box -3 <= x_j <= 3 (the
+    # lower side only for free variables), so the feasible set is bounded.
+    n = data.draw(st.integers(1, 4))
+    free = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    objective = data.draw(st.lists(RATIONALS, min_size=n, max_size=n))
+    rows = data.draw(mixed_rows(n))
+    for j in range(n):
+        unit = tuple(int(i == j) for i in range(n))
+        rows.append((unit, "<=", 3))
+        if free[j]:
+            rows.append((unit, ">=", -3))
+    sol = solve_lp_exact(LPInstance.maximize(objective, rows, free))
+    best = brute_lp_max(objective, rows, free)
+    if best is None:
+        assert sol.status == "infeasible"
+    else:
+        assert sol.status == "optimal"
+        assert sol.objective == best
+
+
+@given(data=st.data())
+def test_planted_improving_ray_is_unbounded(data):
+    # Rows are oriented so that x0 + t d stays feasible for every t >= 0,
+    # and the objective rises along d.
+    n = data.draw(st.integers(1, 4))
+    free = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    ints = st.integers(-3, 3)
+    x0 = [data.draw(ints if free[j] else st.integers(0, 3)) for j in range(n)]
+    d = [data.draw(ints if free[j] else st.integers(0, 3)) for j in range(n)]
+    if not any(d):
+        d[0] = 1
+    dd = sum(v * v for v in d)
+    rows = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        a = [data.draw(ints) for _ in range(n)]
+        if data.draw(st.booleans()):
+            ad = sum(x * y for x, y in zip(a, d))
+            a = [x * dd - ad * y for x, y in zip(a, d)]
+        ad = sum(x * y for x, y in zip(a, d))
+        ax = sum(x * y for x, y in zip(a, x0))
+        slack = data.draw(st.integers(0, 2))
+        sense = ">=" if ad > 0 else "<=" if ad < 0 else data.draw(SENSES)
+        rhs = ax if sense == "==" else ax - slack if sense == ">=" else ax + slack
+        rows.append((a, sense, rhs))
+    c = [data.draw(ints) for _ in range(n)]
+    cd = sum(x * y for x, y in zip(c, d))
+    if cd <= 0:
+        c = [x + (1 - cd) * y for x, y in zip(c, d)]
+    assert solve_lp_exact(LPInstance.maximize(c, rows, free)).status == "unbounded"
