@@ -60,6 +60,10 @@ __all__ = [
     "bmatch_lsa_min_excess",
 ]
 
+# Largest |weight| and |label| the randomized solver accepts.
+RANDOMIZED_WEIGHT_BOUND = 1 << 20
+
+
 @dataclass(frozen=True)
 class BMatchInstance:
     """Degree-capped matching game data plus a per-vertex allocation."""
@@ -295,10 +299,7 @@ def verify_nonzero_promise(
     at most #capacity-2-vertices nonzero edges (paths at most two more):
     every nonzero edge of a capacity-1 vertex must be a dead end."""
     g = produced.graph
-    deg = [0] * g.n
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
+    deg = g.degrees(range(g.m))
     for v, cap in enumerate(b):
         e = center_edge[v]
         if produced.a[e] == 0:
@@ -324,7 +325,7 @@ def verify_nonzero_promise(
 
 
 def nz_matching_randomized(
-    inst: NZMatchingInstance, seed: int, weight_bound: int = 1 << 20
+    inst: NZMatchingInstance, seed: int
 ) -> tuple[tuple[int, ...], Fraction]:
     """Best nonzero matching for bounded integer data (randomized, with
     verified output).
@@ -341,8 +342,8 @@ def nz_matching_randomized(
         if fv.denominator != 1:
             raise ValueError("randomized solver needs integer weights")
         w.append(int(fv))
-    if any(abs(v) > weight_bound for v in w) or any(
-        abs(v) > weight_bound for v in inst.a
+    if any(abs(v) > RANDOMIZED_WEIGHT_BOUND for v in w) or any(
+        abs(v) > RANDOMIZED_WEIGHT_BOUND for v in inst.a
     ):
         raise ValueError("weights exceed the configured bound")
     padded = pad_to_perfect(g, [Fraction(v) for v in w], inst.a)

@@ -34,6 +34,7 @@ from .fixtures import (
 )
 from .games import (
     CapExceededError,
+    GameOracle,
     brute_lsa_min_excess,
     brute_min_excess,
     brute_nz_min_excess,
@@ -42,7 +43,13 @@ from .games import (
 )
 from .graphs import Graph
 from .linalg import LinearSubspace, parse_rat, rat_str
-from .matroids import arboricity_lsa_solver, network_strength_lsa_solver
+from .matching import BMatchingGame
+from .matroids import (
+    ArboricityGame,
+    NetworkStrengthGame,
+    arboricity_lsa_solver,
+    network_strength_lsa_solver,
+)
 from .mps import least_core, mps_nucleolus, reference_nucleolus
 from .nz import LSAInstance, lsa_to_nz
 from .serialize import (
@@ -80,21 +87,16 @@ def _load_game(path: str) -> LoadedGame:
         raise CliError(f"malformed game file {path!r}", {"cause": str(e)})
 
 
-def _oracle_sep(loaded: LoadedGame):
-    """Exact avoidance-constrained separation solver for the game type."""
-    if loaded.type == "arboricity":
-        g = Graph.from_json_dict(loaded.payload["graph"])
-        return arboricity_lsa_solver(g)
-    if loaded.type == "network_strength":
-        g = Graph.from_json_dict(loaded.payload["graph"])
-        return network_strength_lsa_solver(g)
-    if loaded.type == "bmatching":
-        g = Graph.from_json_dict(loaded.payload["graph"])
-        inst_w = [parse_rat(v) for v in loaded.payload["w"]]
-        inst_b = [int(v) for v in loaded.payload["b"]]
+def _oracle_sep(game: GameOracle):
+    """Exact avoidance-constrained separation solver for the game's class."""
+    if isinstance(game, ArboricityGame):
+        return arboricity_lsa_solver(game.graph)
+    if isinstance(game, NetworkStrengthGame):
+        return network_strength_lsa_solver(game.graph)
+    if isinstance(game, BMatchingGame):
 
         def sep(vg, y, span):
-            inst = BMatchInstance(g, tuple(inst_w), tuple(inst_b), tuple(y))
+            inst = BMatchInstance(game.graph, game.w, game.b, tuple(y))
             return bmatch_lsa_min_excess(inst, span)
 
         return sep
@@ -109,7 +111,7 @@ def _named(players, mask: int) -> list[str]:
 def cmd_solve(args) -> int:
     loaded = _load_game(args.gamefile)
     if args.mode == "oracle":
-        res = mps_nucleolus(loaded.game, mode="oracle", sep=_oracle_sep(loaded))
+        res = mps_nucleolus(loaded.game, mode="oracle", sep=_oracle_sep(loaded.game))
     else:
         res = mps_nucleolus(loaded.game, mode="enumerate")
     out = res.to_json_dict()

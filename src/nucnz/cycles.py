@@ -185,12 +185,7 @@ def _candidate_cycles_for_guess(
     zero-labeled subgraph zg (edge i of zg is edge zero_ids[i] of the
     instance) and split the union into simple cycles."""
     g = inst.graph
-    deg = [0] * g.n
-    for e in guess:
-        u, v = g.edges[e]
-        deg[u] += 1
-        deg[v] += 1
-    odd = [v for v in range(g.n) if deg[v] % 2]
+    odd = [v for v, d in enumerate(g.degrees(guess)) if d % 2]
     if not t_join_exists(zg, odd):
         return []
     join = min_cost_t_join(zg, zcosts, odd)

@@ -32,9 +32,10 @@ MAX_TOTAL_WEIGHT = 1 << 24  # transform-size guard
 WORK_BUDGET = 8_000_000  # max transform-size * per-evaluation cost per call
 
 
-def pfaffian_mod(a: list[list[int]], p: int = PRIME) -> int:
-    """Pfaffian of a skew-symmetric matrix over F_p, by congruence
-    elimination in O(n^3)."""
+def pfaffian_mod(a: list[list[int]]) -> int:
+    """Pfaffian of a skew-symmetric matrix over F_p, p = PRIME, by
+    congruence elimination in O(n^3)."""
+    p = PRIME
     n = len(a)
     if n % 2:
         return 0
@@ -69,7 +70,8 @@ def pfaffian_mod(a: list[list[int]], p: int = PRIME) -> int:
     return result * sign % p
 
 
-def _ntt(values: list[int], invert: bool, p: int = PRIME) -> list[int]:
+def _ntt(values: list[int], invert: bool) -> list[int]:
+    p = PRIME
     n = len(values)
     a = values[:]
     j = 0
@@ -108,7 +110,6 @@ def pf_weight_support(
     scalars: Sequence[int],
     active: Sequence[int] | None = None,
     verts: Sequence[int] | None = None,
-    p: int = PRIME,
 ) -> list[int]:
     """Coefficient list of the pfaffian polynomial (index = total weight).
 
@@ -119,6 +120,7 @@ def pf_weight_support(
     subgraph on ``verts`` has total weight r (up to the one-sided
     randomization error).
     """
+    p = PRIME
     if active is None:
         active = range(g.m)
     active = list(active)
@@ -164,10 +166,10 @@ def pf_weight_support(
             else:
                 mat[iv][iu] = (mat[iv][iu] + val) % p
                 mat[iu][iv] = (mat[iu][iv] - val) % p
-        evals.append(pfaffian_mod(mat, p))
+        evals.append(pfaffian_mod(mat))
         for idx, (_iu, _iv, _s, step) in enumerate(entries):
             cur[idx] = cur[idx] * step % p
-    coeffs = _ntt(evals, invert=True, p=p)
+    coeffs = _ntt(evals, invert=True)
     return coeffs[: degree + 1]
 
 

@@ -19,10 +19,10 @@ from .games import (
     Allocation,
     GameOracle,
     TableGame,
+    _require_within_cap,
     brute_min_excess,
     brute_nz_min_excess,
     coalition_of,
-    coalition_sum,
     excess,
     make_allocation,
 )
@@ -87,13 +87,8 @@ class PackingGame(GameOracle):
 
     def table(self) -> list[Fraction]:
         if self._table is None:
-            from .games import CapExceededError, enum_cap
-
+            _require_within_cap(self)
             n = self.player_count
-            if n > enum_cap():
-                raise CapExceededError(
-                    f"{n} players exceeds enumeration cap {enum_cap()}"
-                )
             tab = [Fraction(0)] * (1 << n)
             by_player = self._by_player
             for mask in range(1, 1 << n):
@@ -395,7 +390,7 @@ def hardness_adversary_check(params: HardnessParams) -> dict:
     return {"ok": all(c["pass"] for c in checks), "checks": checks}
 
 
-def random_monotone_game(players: int, seed: int, max_value: int = 40) -> TableGame:
+def random_monotone_game(players: int, seed: int) -> TableGame:
     """Monotone non-negative table game; prefix-max over the subset lattice."""
     if players > 12:
         raise ValueError("random table games are capped at 12 players")
@@ -403,7 +398,7 @@ def random_monotone_game(players: int, seed: int, max_value: int = 40) -> TableG
     size = 1 << players
     table = [Fraction(0)] * size
     for m in range(1, size):
-        table[m] = Fraction(rng.randint(0, max_value), rng.choice([1, 2, 3, 4]))
+        table[m] = Fraction(rng.randint(0, 40), rng.choice([1, 2, 3, 4]))
     for m in range(1, size):
         best = table[m]
         mm = m
@@ -417,24 +412,14 @@ def random_monotone_game(players: int, seed: int, max_value: int = 40) -> TableG
     return TableGame(table)
 
 
-def random_graph(
-    n: int, m: int, seed: int, allow_parallel: bool = True, allow_loops: bool = False
-) -> Graph:
+def random_graph(n: int, m: int, seed: int) -> Graph:
+    """m loop-free edges drawn uniformly with repetition, so parallel
+    edges may occur."""
     rng = random.Random(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u, n) if (allow_loops or u != v)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if not pairs:
         return Graph(n, ())
-    edges = []
-    seen = set()
-    guard = 0
-    while len(edges) < m and guard < 50 * m + 100:
-        guard += 1
-        e = rng.choice(pairs)
-        if not allow_parallel and e in seen:
-            continue
-        seen.add(e)
-        edges.append(e)
-    return Graph(n, tuple(edges))
+    return Graph(n, tuple(rng.choice(pairs) for _ in range(m)))
 
 
 def random_subspace_rows(n: int, dim_max: int, seed: int) -> list[list[int]]:

@@ -1,9 +1,13 @@
 """Players, coalitions, game oracles and brute-force excess solvers.
 
 Coalitions are plain ints used as bit masks over the player index space;
-bit p set means player p belongs to the coalition.  Brute-force solvers
-enumerate all 2^n masks with integer-scaled arithmetic and break ties by
-the numerically smallest mask, so their output is deterministic.
+bit p set means player p belongs to the coalition.  Every exhaustive
+minimum-excess search is one call of :func:`min_excess_where`: it scans
+all 2^n masks in integer arithmetic, from the game's cached
+integer-scaled value table and one subset-sum table of the scaled
+allocation, and breaks ties by the numerically smallest mask, so its
+output is deterministic.  The brute-force referees differ only in which
+masks they keep.
 """
 
 from __future__ import annotations
@@ -11,10 +15,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Iterable, Sequence
+from itertools import compress
+from typing import Iterable, Sequence
 
-from .linalg import LinearSubspace, fold_kernel, integer_kernel_basis
+from .linalg import LinearSubspace, fold_kernel, integer_kernel_basis, integer_scaled
 
 Coalition = int
 Allocation = tuple[Fraction, ...]
@@ -36,6 +40,7 @@ __all__ = [
     "coalition_sum",
     "enum_cap",
     "excess",
+    "min_excess_where",
     "brute_min_excess",
     "brute_nz_min_excess",
     "brute_lsa_min_excess",
@@ -52,6 +57,13 @@ def enum_cap() -> int:
     """Brute-force player cap; NUCNZ_ENUM_CAP overrides the default of 24."""
     raw = os.environ.get("NUCNZ_ENUM_CAP")
     return int(raw) if raw else DEFAULT_ENUM_CAP
+
+
+def _require_within_cap(g: GameOracle) -> None:
+    if g.player_count > enum_cap():
+        raise CapExceededError(
+            f"{g.player_count} players exceeds enumeration cap {enum_cap()}"
+        )
 
 
 def coalition_members(mask: Coalition) -> list[int]:
@@ -106,6 +118,7 @@ class GameOracle:
     def __init__(self, player_count: int):
         self.player_count = player_count
         self._table: list[Fraction] | None = None
+        self._scaled: tuple[list[int], int] | None = None
 
     def value(self, mask: Coalition) -> Fraction:
         raise NotImplementedError
@@ -113,13 +126,16 @@ class GameOracle:
     def table(self) -> list[Fraction]:
         """All 2^n values, cached.  Guarded by the enumeration cap."""
         if self._table is None:
-            n = self.player_count
-            if n > enum_cap():
-                raise CapExceededError(
-                    f"{n} players exceeds enumeration cap {enum_cap()}"
-                )
-            self._table = [self.value(m) for m in range(1 << n)]
+            _require_within_cap(self)
+            self._table = [self.value(m) for m in range(1 << self.player_count)]
         return self._table
+
+    def scaled_table(self) -> tuple[list[int], int]:
+        """:meth:`table` as integer numerators over one positive
+        denominator, cached."""
+        if self._scaled is None:
+            self._scaled = integer_scaled(self.table())
+        return self._scaled
 
     def grand_value(self) -> Fraction:
         return self.value((1 << self.player_count) - 1)
@@ -178,42 +194,6 @@ def excess(g: GameOracle, y: Sequence[Fraction], mask: Coalition) -> Fraction:
     return ys - v if g.kind == "value" else v - ys
 
 
-def _scaled_scan_data(g: GameOracle, y: Sequence[Fraction]):
-    """Integer excess numerators for all masks (common positive denominator).
-
-    Returns (nums, denom) with excess(mask) == nums[mask] / denom exactly.
-    """
-    n = g.player_count
-    table = g.table()
-    yf = [Fraction(v) for v in y]
-    dy = lcm(*(v.denominator for v in yf))
-    dv = lcm(*(v.denominator for v in table))
-    sign = 1 if g.kind == "value" else -1
-    ysum = dot_table([int(v * dy) for v in yf], n)
-    nums = [sign * (s * dv - int(v * dv) * dy) for s, v in zip(ysum, table)]
-    return nums, dy * dv
-
-
-def _require_within_cap(g: GameOracle) -> None:
-    if g.player_count > enum_cap():
-        raise CapExceededError(
-            f"{g.player_count} players exceeds enumeration cap {enum_cap()}"
-        )
-
-
-def brute_min_excess(g: GameOracle, y: Sequence[Fraction]) -> ExcessReport:
-    """Minimum excess over all 2^n coalitions; ties go to the lowest mask."""
-    _require_within_cap(g)
-    nums, den = _scaled_scan_data(g, y)
-    best_m = 0
-    best = nums[0]
-    for m in range(1, len(nums)):
-        if nums[m] < best:
-            best = nums[m]
-            best_m = m
-    return ExcessReport(best_m, Fraction(best, den))
-
-
 def dot_table(a: Sequence[int], n: int) -> list[int]:
     """a(S) for every mask S, by lowest-bit recursion."""
     out = [0] * (1 << n)
@@ -221,6 +201,39 @@ def dot_table(a: Sequence[int], n: int) -> list[int]:
         low = m & -m
         out[m] = out[m ^ low] + a[low.bit_length() - 1]
     return out
+
+
+def min_excess_where(
+    g: GameOracle, y: Sequence[Fraction], keep: Sequence
+) -> ExcessReport:
+    """Minimum excess among the masks S with ``keep[S]`` set; ties go to
+    the lowest mask.
+
+    Excesses are compared as integer numerators over the common
+    denominator dy * dv, read in place from the scaled value table and
+    the subset sums of the scaled allocation.
+    """
+    vnum, dv = g.scaled_table()
+    ynum, dy = integer_scaled([Fraction(v) for v in y])
+    ysum = dot_table(ynum, g.player_count)
+    # excess * dy * dv = s * (ysum * dv - vnum * dy), s = -1 on cost games
+    sv, sy = (dv, dy) if g.kind == "value" else (-dv, -dy)
+    best_m = -1
+    best = 0
+    for m in compress(range(len(ysum)), keep):
+        e = ysum[m] * sv - vnum[m] * sy
+        if best_m < 0 or e < best:
+            best = e
+            best_m = m
+    if best_m < 0:
+        raise ValueError("no coalition is kept")
+    return ExcessReport(best_m, Fraction(best, dy * dv))
+
+
+def brute_min_excess(g: GameOracle, y: Sequence[Fraction]) -> ExcessReport:
+    """Minimum excess over all 2^n coalitions; ties go to the lowest mask."""
+    _require_within_cap(g)
+    return min_excess_where(g, y, b"\x01" * (1 << g.player_count))
 
 
 def brute_nz_min_excess(
@@ -233,29 +246,21 @@ def brute_nz_min_excess(
     n = g.player_count
     if len(a) != n:
         raise ValueError("constraint vector length must equal player count")
-    nums, den = _scaled_scan_data(g, y)
-    adots = dot_table([int(v) for v in a], n)
-    best_m = -1
-    best = None
-    for m in range(1, len(nums)):
-        if adots[m] != 0 and (best is None or nums[m] < best):
-            best = nums[m]
-            best_m = m
-    if best_m < 0:
-        raise ValueError("no coalition satisfies the non-zero constraint")
-    return ExcessReport(best_m, Fraction(best, den))
+    return min_excess_where(g, y, dot_table([int(v) for v in a], n))
 
 
 def brute_lsa_min_excess(
     g: GameOracle, y: Sequence[Fraction], L: LinearSubspace
 ) -> ExcessReport:
-    """Minimum excess among coalitions whose incidence vector avoids ``L``:
-    one non-zero query with the folded kernel of ``L``."""
-    if L.ambient_dim != g.player_count:
+    """Minimum excess among coalitions whose incidence vector avoids ``L``,
+    read from the dot table of the folded kernel of ``L``."""
+    n = g.player_count
+    if L.ambient_dim != n:
         raise ValueError("subspace ambient dimension must equal player count")
     if not L.is_proper():
         raise ValueError("avoided subspace must be proper")
-    return brute_nz_min_excess(g, y, fold_kernel(integer_kernel_basis(L)))
+    _require_within_cap(g)
+    return min_excess_where(g, y, dot_table(fold_kernel(integer_kernel_basis(L)), n))
 
 
 def is_monotone(g: GameOracle, max_players: int = 16) -> bool:

@@ -35,15 +35,6 @@ class Graph:
     def has_loops(self) -> bool:
         return any(u == v for u, v in self.edges)
 
-    def incident(self) -> list[list[int]]:
-        """Edge ids incident to each vertex (loops listed once)."""
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for i, (u, v) in enumerate(self.edges):
-            inc[u].append(i)
-            if v != u:
-                inc[v].append(i)
-        return inc
-
     def degrees(self, edge_ids: Iterable[int]) -> list[int]:
         """Degrees induced by a subset of edges; a loop adds 2."""
         deg = [0] * self.n
@@ -73,7 +64,3 @@ class Graph:
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [[u, v] for u, v in self.edges]}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "Graph":
-        return Graph.of(int(d["n"]), d["edges"])

@@ -25,6 +25,7 @@ __all__ = [
     "integer_kernel_basis",
     "fold_kernel",
     "primitive_int_vector",
+    "integer_scaled",
 ]
 
 
@@ -108,6 +109,14 @@ def primitive_int_vector(row: Sequence) -> tuple[int, ...]:
                 ints = [-u for u in ints]
             break
     return tuple(ints)
+
+
+def integer_scaled(values: Sequence) -> tuple[list[int], int]:
+    """Rationals as integer numerators over one positive denominator:
+    returns (the values times d, d) for d the lcm of their denominators.
+    The integers keep the order of the values, so the same optima."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 @dataclass(frozen=True)

@@ -165,9 +165,10 @@ def _choose_leaving(tab: _Tableau, c: int, basis: list[int], rest: list[int]) ->
     return best
 
 
-def solve_lp_exact(lp: LPInstance, verify: bool = True) -> LPSolution:
+def solve_lp_exact(lp: LPInstance) -> LPSolution:
     """Solve a rational LP exactly; always returns a status, never raises
-    for infeasible or unbounded instances."""
+    for infeasible or unbounded instances.  An optimal solution is
+    returned only after its certificate checks."""
     n = lp.n_vars
     m = len(lp.rows)
 
@@ -279,8 +280,7 @@ def solve_lp_exact(lp: LPInstance, verify: bool = True) -> LPSolution:
     duals = tuple(Fraction(cost2[n + i] * orient[i], den * sigma) for i in range(m))
 
     sol = LPSolution(status="optimal", x=tuple(x), duals=duals, objective=objective)
-    if verify:
-        _verify_certificate(lp, sol)
+    _verify_certificate(lp, sol)
     return sol
 
 

@@ -2,13 +2,12 @@
 matching values, perfect-matching padding and minimum-cost T-joins.
 
 Matchings are edge-id sets over :class:`~nucnz.graphs.Graph`, so parallel
-edges stay distinguishable.  Small instances are solved by direct
-enumeration; larger ones go through the blossom implementation of
-networkx, after collapsing parallels and dropping loops and negative
-edges, none of which can improve a maximum-weight matching.  Every blossom
-call goes through ``_blossom``, which scales the rational weights to
-integers by the lcm of their denominators: networkx then keeps its dual
-updates in integers and verifies the optimum it returns.
+edges stay distinguishable.  Every matching comes from the blossom
+implementation of networkx through ``_blossom``.  It collapses parallels
+and drops loops and negative edges, none of which can improve a
+maximum-weight matching, and scales the rational weights to integers by
+the lcm of their denominators: networkx then keeps its dual updates in
+integers and verifies the optimum it returns.
 """
 
 from __future__ import annotations
@@ -16,13 +15,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 import networkx as nx
 
 from .games import GameOracle
 from .graphs import Graph
+from .linalg import integer_scaled
 
 __all__ = [
     "matching_is_valid",
@@ -38,8 +37,6 @@ __all__ = [
     "is_conservative",
 ]
 
-BRUTE_EDGE_LIMIT = 12
-
 
 def matching_is_valid(g: Graph, edge_ids: Iterable[int]) -> bool:
     used = set()
@@ -54,31 +51,6 @@ def matching_is_valid(g: Graph, edge_ids: Iterable[int]) -> bool:
 
 def _matching_weight(w: Sequence[Fraction], edge_ids: Iterable[int]) -> Fraction:
     return sum((Fraction(w[e]) for e in edge_ids), Fraction(0))
-
-
-def _brute_max_matching(g: Graph, w: Sequence[Fraction]) -> tuple[int, ...]:
-    best_wt = Fraction(0)
-    best: tuple[int, ...] = ()
-
-    def rec(idx: int, used: set[int], picked: list[int], wt: Fraction):
-        nonlocal best_wt, best
-        key = tuple(picked)
-        if wt > best_wt or (wt == best_wt and key < best):
-            best_wt, best = wt, key
-        for e in range(idx, g.m):
-            u, v = g.edges[e]
-            if u == v or u in used or v in used:
-                continue
-            used.add(u)
-            used.add(v)
-            picked.append(e)
-            rec(e + 1, used, picked, wt + Fraction(w[e]))
-            picked.pop()
-            used.discard(u)
-            used.discard(v)
-
-    rec(0, set(), [], Fraction(0))
-    return best
 
 
 def _collapse_parallels(g: Graph, w: Sequence[Fraction], keep_negative: bool):
@@ -97,13 +69,6 @@ def _collapse_parallels(g: Graph, w: Sequence[Fraction], keep_negative: bool):
     return rep
 
 
-def _integer_scaled(ws: Sequence[Fraction]) -> list[int]:
-    """The weights times the lcm of their denominators: exact integers
-    with the same order, so the same optima."""
-    den = lcm(*(x.denominator for x in ws))
-    return [x.numerator * (den // x.denominator) for x in ws]
-
-
 def _blossom(g: Graph, w: Sequence[Fraction], perfect: bool) -> tuple[int, ...] | None:
     """networkx blossom on the collapsed graph with integer-scaled weights.
 
@@ -112,7 +77,7 @@ def _blossom(g: Graph, w: Sequence[Fraction], perfect: bool) -> tuple[int, ...] 
     ``perfect`` and no perfect matching exists.
     """
     rep = _collapse_parallels(g, w, keep_negative=perfect)
-    scaled = _integer_scaled([w[e] for e in rep.values()])
+    scaled, _ = integer_scaled([w[e] for e in rep.values()])
     G = nx.Graph()
     G.add_nodes_from(range(g.n))
     for ((u, v), e), we in zip(rep.items(), scaled):
@@ -129,8 +94,6 @@ def max_weight_matching(g: Graph, w: Sequence[Fraction]) -> tuple[int, ...]:
     The empty matching (weight 0) always competes, so negative edges are
     never used.
     """
-    if g.m <= BRUTE_EDGE_LIMIT:
-        return _brute_max_matching(g, w)
     return _blossom(g, w, perfect=False)
 
 
@@ -233,9 +196,6 @@ class PaddedGraph:
     original_edges: int
     trivial_of_pair: dict[tuple[int, int], int]
 
-    def is_trivial(self, e: int) -> bool:
-        return e >= self.original_edges
-
     def strip(self, edge_ids: Iterable[int]) -> tuple[int, ...]:
         return tuple(sorted(e for e in edge_ids if e < self.original_edges))
 
@@ -333,14 +293,9 @@ def min_cost_t_join(g: Graph, costs: Sequence[Fraction], T: Iterable[int]) -> tu
 
     cf = [Fraction(c) for c in costs]
     negative = [e for e in range(g.m) if cf[e] < 0]
-    deg = [0] * g.n
-    for e in negative:
-        u, v = g.edges[e]
-        deg[u] += 1
-        deg[v] += 1
     t_prime = set(T)
-    for v in range(g.n):
-        if deg[v] % 2:
+    for v, d in enumerate(g.degrees(negative)):
+        if d % 2:
             t_prime ^= {v}
     tp = sorted(t_prime)
 
@@ -348,7 +303,7 @@ def min_cost_t_join(g: Graph, costs: Sequence[Fraction], T: Iterable[int]) -> tu
     if tp:
         # integer-scaled absolute costs; one adjacency, cheapest parallel
         # edge per pair, serves every shortest-path source
-        dist_w = [abs(c) for c in _integer_scaled(cf)]
+        dist_w = [abs(c) for c in integer_scaled(cf)[0]]
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
         for (u, v), e in _collapse_parallels(g, [-d for d in dist_w], True).items():
             adj[u].append((v, dist_w[e], e))
@@ -385,12 +340,7 @@ def min_cost_t_join(g: Graph, costs: Sequence[Fraction], T: Iterable[int]) -> tu
         join ^= {e}
 
     # structural check: the odd-degree set must be exactly T
-    deg2 = [0] * g.n
-    for e in join:
-        u, v = g.edges[e]
-        deg2[u] += 1
-        deg2[v] += 1
-    odd = sorted(v for v in range(g.n) if deg2[v] % 2)
+    odd = [v for v, d in enumerate(g.degrees(join)) if d % 2]
     if odd != T:
         raise AssertionError("T-join construction produced the wrong parity set")
     return tuple(sorted(join))

@@ -8,8 +8,9 @@ point the allocation is unique.
 
 The per-level LP is solved by cutting planes: the working LP starts from
 the singleton rows plus the efficiency equality, and a separation oracle
-supplies violated coalition rows.  ``mode="enumerate"`` uses exhaustive
-integer-scaled enumeration as the oracle; ``mode="oracle"`` takes a
+supplies violated coalition rows.  ``mode="enumerate"`` uses the
+exhaustive scan :func:`~nucnz.games.min_excess_where` as the oracle,
+keeping the coalitions outside the span; ``mode="oracle"`` takes a
 caller-supplied solver for the subspace-avoiding minimum-excess problem.
 A second, independent algorithm (:func:`reference_nucleolus`) solves each
 level with all constraint rows explicit and fixes coalitions by an
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Sequence
 
 from .games import (
@@ -29,11 +29,12 @@ from .games import (
     CapExceededError,
     ExcessReport,
     GameOracle,
+    _require_within_cap,
     as_value_game,
     coalition_vector,
     dot_table,
-    enum_cap,
     excess,
+    min_excess_where,
 )
 from .linalg import LinearSubspace, fold_kernel, integer_kernel_basis, rat_str
 from .lp import LPInstance, solve_lp_exact
@@ -98,35 +99,16 @@ def _outside(span: LinearSubspace, n: int) -> bytearray:
 
 
 def _enumerate_sep(vg: GameOracle) -> LsaSolver:
-    """Exhaustive separation: scan all 2^n coalitions with scaled integers."""
+    """Exhaustive separation: scan the coalitions outside the span."""
+    _require_within_cap(vg)
     n = vg.player_count
-    if n > enum_cap():
-        raise CapExceededError(
-            f"{n} players exceeds enumeration cap {enum_cap()} for enumerate mode"
-        )
-    table = vg.table()
-    dv = lcm(*(v.denominator for v in table))
-    vnum = [int(v * dv) for v in table]
     outside_cache: dict[LinearSubspace, bytearray] = {}
 
     def sep(_g: GameOracle, y: Sequence[Fraction], span: LinearSubspace) -> ExcessReport:
         outside = outside_cache.get(span)
         if outside is None:
             outside = outside_cache[span] = _outside(span, n)
-        yf = [Fraction(v) for v in y]
-        dy = lcm(*(v.denominator for v in yf))
-        ysum = dot_table([int(v * dy) for v in yf], n)
-        best_m = -1
-        best = None
-        for m in range(1 << n):
-            if outside[m]:
-                e = ysum[m] * dv - vnum[m] * dy
-                if best is None or e < best:
-                    best = e
-                    best_m = m
-        if best_m < 0:
-            raise MpsError("separation found no coalition outside the span")
-        return ExcessReport(best_m, Fraction(best, dy * dv))
+        return min_excess_where(vg, y, outside)
 
     return sep
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .bmatch import BMatchInstance
 from .fixtures import PackingGame
 from .games import GameOracle, TableGame, coalition_of, make_allocation
 from .graphs import Graph
@@ -38,11 +37,9 @@ class GameFileError(ValueError):
 
 
 class LoadedGame:
-    def __init__(self, game: GameOracle, players: list[str], gtype: str, payload: dict):
+    def __init__(self, game: GameOracle, players: list[str]):
         self.game = game
         self.players = players
-        self.type = gtype
-        self.payload = payload
 
 
 def _require(cond: bool, msg: str):
@@ -134,7 +131,7 @@ def load_game_dict(d: dict) -> LoadedGame:
         game = PackingGame(n, parsed)
     else:
         raise GameFileError(f"unknown game type {gtype!r}")
-    return LoadedGame(game, [str(p) for p in players], gtype, spec)
+    return LoadedGame(game, [str(p) for p in players])
 
 
 def dump_table_game(game: GameOracle, players: Sequence[str] | None = None) -> dict:

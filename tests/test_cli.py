@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from nucnz.cli import main
+from nucnz.cli import _oracle_sep, main
+from nucnz.games import brute_lsa_min_excess
 from nucnz.serialize import (
     dump_allocation,
     load_allocation_dict,
@@ -243,3 +244,43 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, ["selftest", "--seed", "3"])
     assert code == 0
     assert json.loads(out)["ok"]
+
+
+GRAPH_GAMES = {
+    "bmatching": {
+        "kind": "value",
+        "players": ["a", "b", "c", "d"],
+        "game": {
+            "type": "bmatching",
+            "graph": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3], [0, 2]]},
+            "w": ["3", "2", "5/2", "1", "4"],
+            "b": [2, 1, 1, 2],
+        },
+    },
+    "arboricity": {
+        "kind": "cost",
+        "players": ["e0", "e1", "e2", "e3", "e4"],
+        "game": {
+            "type": "arboricity",
+            "graph": {"n": 4, "edges": [[0, 1], [1, 2], [2, 0], [2, 3], [0, 1]]},
+        },
+    },
+    "network_strength": {
+        "kind": "value",
+        "players": ["e0", "e1", "e2", "e3", "e4"],
+        "game": {
+            "type": "network_strength",
+            "graph": {"n": 3, "edges": [[0, 1], [1, 2], [2, 0], [0, 1], [1, 2]]},
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("gtype", list(GRAPH_GAMES))
+def test_solve_oracle_mode_matches_enumerate_on_graph_games(capsys, tmp_path, gtype):
+    path = write(tmp_path, f"{gtype}.json", GRAPH_GAMES[gtype])
+    code1, out1, _ = run(capsys, ["solve", path, "--mode", "enumerate"])
+    code2, out2, _ = run(capsys, ["solve", path, "--mode", "oracle"])
+    assert code1 == code2 == 0
+    assert json.loads(out1)["allocation"] == json.loads(out2)["allocation"]
+    assert _oracle_sep(load_game_dict(GRAPH_GAMES[gtype]).game) is not brute_lsa_min_excess

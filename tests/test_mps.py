@@ -126,6 +126,16 @@ def test_reference_refuses_eight_players_before_any_value():
         reference_nucleolus(Unevaluable(8))
 
 
+def test_enumerate_mode_refuses_above_cap_before_any_value(monkeypatch):
+    class Unevaluable(GameOracle):
+        def value(self, mask):
+            raise AssertionError("the cap must refuse before any value is read")
+
+    monkeypatch.setenv("NUCNZ_ENUM_CAP", "3")
+    with pytest.raises(CapExceededError):
+        mps_nucleolus(Unevaluable(4))
+
+
 def test_cost_game_additive():
     tab = [0]
     for m in range(1, 8):
