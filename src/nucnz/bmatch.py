@@ -5,15 +5,27 @@ solver for those games.
 All three reductions use a dominating constant K so that optimal solutions
 of the produced instance are forced to respect the gadget structure, and
 each ships a map object that pulls solutions back with an exact value
-identity.  The toolkit's solver routes a subspace-avoidance query through
-the non-zero decomposition and the gadget chain to the parity-join cycle
-solver, guessing at most #cap2 + 2 non-zero edges: by the gadget's
-promise (:func:`verify_nonzero_promise`) some optimal cycle uses no more,
-so the query is exact, and polynomial when few vertices have capacity 2.
+identity.
+
+The solver answers a non-zero query by forced-status matching on the
+gadget instance.  It takes M̄, a maximum-weight matching of the gadget
+graph, and returns it when its label sum is nonzero.  Otherwise it
+guesses a set D of at most #cap2 + 2 label-carrying edges whose status
+flips relative to M̄ (signed label change nonzero), keeps every other
+label-carrying edge at its M̄ status, and completes the forced-in edges
+by one blossom call on the unlabelled rest of the graph.  The query is
+exact under the gadget's promise (:func:`verify_nonzero_promise`): M̄ is
+maximum, so no alternating component of M* Δ M̄ gains weight; some
+component P changes the label, P crosses at most #cap2 + 2 labelled
+edges, and the guess "D = P's labelled edges" admits M̄ Δ P, which is
+at least as heavy as M*.  It is polynomial when few vertices have
+capacity 2.  The older route through a padded cycle instance and
+parity-join guesses stays as the referee
+:func:`bmatch_nz_min_excess_by_cycles`.
 
 Unlike the other separation solvers, this one does not fold the kernel of
 the avoided subspace into a single non-zero vector
-(:func:`nucnz.linalg.fold_kernel`).  The capacity-2 cycle route guesses
+(:func:`nucnz.linalg.fold_kernel`).  The forced-status route guesses
 among the nonzero-labelled edges, C(|supp a|, <= #cap2 + 2) guesses per
 query: a kernel vector of a low-dimensional span has support 2, while the
 folded vector is supported on nearly every vertex.  One query per kernel
@@ -22,10 +34,11 @@ vector is much cheaper there.
 
 from __future__ import annotations
 
-import gc
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .exact_matching import exact_weight_perfect_matching, pf_weight_support
@@ -57,6 +70,7 @@ __all__ = [
     "verify_nonzero_promise",
     "nz_matching_randomized",
     "bmatch_nz_min_excess",
+    "bmatch_nz_min_excess_by_cycles",
     "bmatch_lsa_min_excess",
 ]
 
@@ -384,10 +398,72 @@ def nz_matching_randomized(
     raise RuntimeError("randomized matching failed on every candidate total")
 
 
+@lru_cache(maxsize=1)
+def _gadget_max_matching(inst: BMatchInstance) -> tuple[int, ...]:
+    """M̄ of the gadget instance.  The gadget's graph and weights do not
+    depend on the label vector, so the queries of one separation (one per
+    kernel vector, all on the same instance) share it."""
+    produced, _ = reduce_bmatch_to_nzmatching(inst, (1,) * inst.graph.n)
+    return max_weight_matching(produced.graph, produced.w)
+
+
+def _forced_status_matching(
+    inst: NZMatchingInstance, mbar: tuple[int, ...], max_flips: int
+) -> tuple[int, ...] | None:
+    """Heaviest nonzero matching whose label-carrying edges differ from
+    their status in the maximum-weight matching ``mbar`` on at most
+    ``max_flips`` edges; ties go to the smallest sorted edge tuple."""
+    g, w, a = inst.graph, inst.w, inst.a
+    if sum(a[e] for e in mbar) != 0:
+        return mbar
+    in_bar = set(mbar)
+    labelled = [e for e in range(g.m) if a[e] != 0]
+    unlabelled = [e for e in range(g.m) if a[e] == 0]
+    signed = {e: -a[e] if e in in_bar else a[e] for e in labelled}
+    best: tuple[int, ...] | None = None
+    best_weight = Fraction(0)
+    for k in range(1, max_flips + 1):
+        for flips in combinations(labelled, k):
+            if sum(signed[e] for e in flips) == 0:
+                continue
+            forced = [e for e in labelled if (e in in_bar) != (e in flips)]
+            covered = {x for e in forced for x in g.edges[e]}
+            if len(covered) != 2 * len(forced):
+                continue
+            rest = [
+                e for e in unlabelled
+                if g.edges[e][0] not in covered and g.edges[e][1] not in covered
+            ]
+            sub = max_weight_matching(
+                Graph(g.n, tuple(g.edges[e] for e in rest)), [w[e] for e in rest]
+            )
+            matching = tuple(sorted(forced + [rest[i] for i in sub]))
+            weight = sum((w[e] for e in matching), Fraction(0))
+            if best is None or (-weight, matching) < (-best_weight, best):
+                best, best_weight = matching, weight
+    return best
+
+
 def bmatch_nz_min_excess(inst: BMatchInstance, a: Sequence[int]) -> ExcessReport:
     """Minimum excess over coalitions with a(S) != 0 for the matching game:
-    gadget chain, then parity-join cycles with at most #cap2 + 2 guessed
-    non-zero edges."""
+    forced-status matching on the gadget instance with at most #cap2 + 2
+    flipped label-carrying edges (see the module docstring).  The excess
+    comes from the gadget's weight identity."""
+    produced, gm = reduce_bmatch_to_nzmatching(inst, a)
+    cap2 = sum(1 for cap in inst.b if cap == 2)
+    matching = _forced_status_matching(produced, _gadget_max_matching(inst), cap2 + 2)
+    if matching is None:
+        raise RuntimeError("gadget instance lost its nonzero matchings")
+    weight = sum((produced.w[e] for e in matching), Fraction(0))
+    return ExcessReport(gm.coalition_of(matching), gm.implied_excess(weight))
+
+
+def bmatch_nz_min_excess_by_cycles(
+    inst: BMatchInstance, a: Sequence[int]
+) -> ExcessReport:
+    """Referee for :func:`bmatch_nz_min_excess` by the cycle route: gadget
+    chain to a padded cycle instance, then parity-join cycles with at most
+    #cap2 + 2 guessed non-zero edges."""
     produced, gm = reduce_bmatch_to_nzmatching(inst, a)
     red = reduce_nzmatching_to_nzcycle(produced)
     cyc = None
@@ -406,16 +482,11 @@ def bmatch_nz_min_excess(inst: BMatchInstance, a: Sequence[int]) -> ExcessReport
 def bmatch_lsa_min_excess(inst: BMatchInstance, L: LinearSubspace) -> ExcessReport:
     """Minimum excess over coalitions avoiding ``L``: decompose into one
     non-zero query per kernel vector and keep the best.  The kernel is not
-    folded into one query, which would multiply the cycle route's guesses
+    folded into one query, which would multiply the forced-status guesses
     (see the module docstring)."""
     best: ExcessReport | None = None
     for a in integer_kernel_basis(L):
         rep = bmatch_nz_min_excess(inst, a)
         if best is None or (rep.excess, rep.coalition) < (best.excess, best.coalition):
             best = rep
-    # Each networkx blossom call leaves cyclic garbage (nested closures and
-    # blossom objects) that survives into the oldest generation; one full
-    # collection per separation keeps peak memory flat at a cost far below
-    # one collection per T-join.
-    gc.collect()
     return best

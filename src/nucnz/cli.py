@@ -374,9 +374,9 @@ def cmd_selftest(args) -> int:
         )
     record("nonzero-basis-vs-brute", good)
 
-    from .bmatch import bmatch_nz_min_excess
+    from .bmatch import bmatch_nz_min_excess, bmatch_nz_min_excess_by_cycles
 
-    good = True
+    good = forced_ok = True
     for t in range(5):
         n = rng.randint(2, 4)
         edges = []
@@ -396,9 +396,11 @@ def cmd_selftest(args) -> int:
         a = [rng.randint(-3, 3) for _ in range(n)]
         if all(v == 0 for v in a):
             a[0] = 1
-        want = brute_nz_min_excess(inst.game(), inst.y, a)
-        good = good and bmatch_nz_min_excess(inst, a).excess == want.excess
+        got = bmatch_nz_min_excess(inst, a).excess
+        good = good and got == brute_nz_min_excess(inst.game(), inst.y, a).excess
+        forced_ok = forced_ok and got == bmatch_nz_min_excess_by_cycles(inst, a).excess
     record("gadget-chain-vs-brute", good)
+    record("forced-vs-cycle-route", forced_ok)
 
     print(json.dumps({"seed": seed, "ok": ok, "checks": lines}, indent=2))
     return 0 if ok else 1

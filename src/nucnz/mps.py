@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
 from .games import (
@@ -31,9 +32,9 @@ from .games import (
     GameOracle,
     _require_within_cap,
     as_value_game,
+    coalition_sum,
     coalition_vector,
     dot_table,
-    excess,
     min_excess_where,
 )
 from .linalg import LinearSubspace, fold_kernel, integer_kernel_basis, rat_str
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 LsaSolver = Callable[[GameOracle, Sequence[Fraction], LinearSubspace], ExcessReport]
+ValueFn = Callable[[int], Fraction]
 
 # reference_nucleolus solves dense LPs over all 2^n coalitions.  On
 # random_monotone_game(n, 1) it took 0.41 / 2.2 / 21.5 s at n = 6 / 7 / 8
@@ -115,7 +117,7 @@ def _enumerate_sep(vg: GameOracle) -> LsaSolver:
 
 def _level_lp(
     n: int,
-    vg: GameOracle,
+    value: ValueFn,
     fixed: list[tuple[int, Fraction]],
     cuts: list[int],
 ) -> LPInstance:
@@ -124,34 +126,39 @@ def _level_lp(
     rows = []
     for mask, xs in fixed:
         rows.append(
-            (list(coalition_vector(mask, n)) + [0], "==", vg.value(mask) + xs)
+            (list(coalition_vector(mask, n)) + [0], "==", value(mask) + xs)
         )
-    rows.append((list(coalition_vector(full, n)) + [0], "==", vg.value(full)))
+    rows.append((list(coalition_vector(full, n)) + [0], "==", value(full)))
     for mask in cuts:
-        rows.append((list(coalition_vector(mask, n)) + [-1], ">=", vg.value(mask)))
+        rows.append((list(coalition_vector(mask, n)) + [-1], ">=", value(mask)))
     obj = [Fraction(0)] * n + [Fraction(1)]
     return LPInstance.maximize(obj, rows)
 
 
 def _solve_level(
     vg: GameOracle,
+    value: ValueFn,
     fixed: list[tuple[int, Fraction]],
     span: LinearSubspace,
     sep: LsaSolver,
     cuts: list[int],
 ) -> tuple[Fraction, tuple[Fraction, ...], dict[int, Fraction]]:
-    """Cutting-plane solve of one level. Returns (xi, y, nonzero duals)."""
+    """Cutting-plane solve of one level. Returns (xi, y, nonzero duals).
+
+    ``value`` is the solve's memoised ``vg.value``: every rebuild of the
+    level LP reads the values of the same fixed and cut coalitions again.
+    """
     n = vg.player_count
     cut_set = set(cuts)
     while True:
-        lp = _level_lp(n, vg, fixed, cuts)
+        lp = _level_lp(n, value, fixed, cuts)
         sol = solve_lp_exact(lp)
         if sol.status != "optimal":
             raise MpsError(f"level LP came back {sol.status}")
         y = sol.x[:n]
         xi = sol.x[n]
         rep = sep(vg, y, span)
-        true_excess = excess(vg, y, rep.coalition)
+        true_excess = coalition_sum(y, rep.coalition) - value(rep.coalition)
         if true_excess != rep.excess:
             raise MpsError(
                 f"oracle inconsistency: reported excess {rep.excess} but "
@@ -215,6 +222,7 @@ def mps_nucleolus(
     vg = as_value_game(g)
     n = vg.player_count
     oracle = _separator(vg, mode, sep)
+    value = cache(vg.value)
 
     full = (1 << n) - 1
     span = LinearSubspace.from_rows([coalition_vector(full, n)], n)
@@ -229,7 +237,7 @@ def mps_nucleolus(
         if iteration > n + 1:
             raise MpsError(f"no convergence within {n + 1} fixing iterations")
         cuts = [m for m in cuts if not span.contains(coalition_vector(m, n))]
-        xi, y, duals = _solve_level(vg, fixed, span, oracle, cuts)
+        xi, y, duals = _solve_level(vg, value, fixed, span, oracle, cuts)
         last_y = y
         newly = []
         for mask in sorted(duals):
@@ -256,7 +264,7 @@ def least_core(g: GameOracle, mode: str = "enumerate", sep: LsaSolver | None = N
     full = (1 << n) - 1
     span = LinearSubspace.from_rows([coalition_vector(full, n)], n)
     cuts = [1 << p for p in range(n)]
-    xi, y, _ = _solve_level(vg, [], span, oracle, cuts)
+    xi, y, _ = _solve_level(vg, cache(vg.value), [], span, oracle, cuts)
     return xi, _payoff(g, y)
 
 

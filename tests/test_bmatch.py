@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_best_nz_matching, has_negative_cycle, subset_sum
 from nucnz.bmatch import (
@@ -9,6 +11,7 @@ from nucnz.bmatch import (
     NZMatchingInstance,
     bmatch_lsa_min_excess,
     bmatch_nz_min_excess,
+    bmatch_nz_min_excess_by_cycles,
     nz_matching_randomized,
     reduce_bmatch_to_nzmatching,
     reduce_nzcycle_to_bmatch,
@@ -23,7 +26,7 @@ from nucnz.cycles import (
     shortest_nz_cycle_few_nonzero,
 )
 from nucnz.fixtures import random_subspace_rows
-from nucnz.games import brute_lsa_min_excess, brute_nz_min_excess
+from nucnz.games import brute_lsa_min_excess, brute_nz_min_excess, coalition_sum, excess
 from nucnz.graphs import Graph
 from nucnz.linalg import LinearSubspace
 from nucnz.matching import is_conservative, matching_is_valid
@@ -241,3 +244,86 @@ def test_lsa_matches_brute():
         assert got.excess == want.excess
         done += 1
 
+
+
+# -- forced-status route against the brute-force and cycle-route referees --
+
+rationals = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3]))
+nonnegative = st.builds(F, st.integers(0, 12), st.sampled_from([1, 2, 3]))
+
+
+def _pairs(n):
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+@st.composite
+def bmatch_instances(draw, caps=(1, 2), y_values=rationals):
+    """Games on at most 6 vertices with capacities in ``caps`` and
+    fractional w and y; parallel edges allowed."""
+    n = draw(st.integers(2, 6))
+    g = Graph.of(n, draw(st.lists(st.sampled_from(_pairs(n)), min_size=1, max_size=8)))
+    w = draw(st.lists(rationals, min_size=g.m, max_size=g.m))
+    b = draw(st.lists(st.sampled_from(caps), min_size=n, max_size=n))
+    y = draw(st.lists(y_values, min_size=n, max_size=n))
+    return BMatchInstance(g, tuple(w), tuple(b), tuple(y))
+
+
+@st.composite
+def empty_optimum_queries(draw):
+    """Capacity-1 games with y >= 0 and labels of one sign.  The label sum
+    vanishes only on the empty coalition, which is often the unconstrained
+    optimum; the best labelled coalition is then often a matched pair, two
+    flipped label-carrying edges, the most that #cap2 + 2 allows here."""
+    inst = draw(bmatch_instances(caps=(1,), y_values=nonnegative))
+    n = inst.graph.n
+    sign = draw(st.sampled_from([1, -1]))
+    return inst, [sign * v for v in draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))]
+
+
+@st.composite
+def cycle_games(draw):
+    """The all-capacity-2 games that ``reduce_nzcycle_to_bmatch`` makes
+    from a cycle instance, with its label vector: at most 6 vertices."""
+    n = draw(st.integers(2, 3))
+    g = Graph.of(n, draw(st.lists(st.sampled_from(_pairs(n)), min_size=1, max_size=6 - n)))
+    costs = draw(st.lists(rationals, min_size=g.m, max_size=g.m))
+    a = draw(st.lists(st.integers(-2, 2), min_size=g.m, max_size=g.m).filter(any))
+    inst, labels, _ = reduce_nzcycle_to_bmatch(NZCycleInstance(g, tuple(costs), tuple(a)))
+    return inst, list(labels)
+
+
+def _labels(n):
+    return st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+
+
+@st.composite
+def nz_queries(draw):
+    kind = draw(st.sampled_from(["general", "cycle", "empty-optimum"]))
+    if kind == "cycle":
+        return draw(cycle_games())
+    if kind == "empty-optimum":
+        return draw(empty_optimum_queries())
+    inst = draw(bmatch_instances())
+    return inst, draw(_labels(inst.graph.n))
+
+
+@settings(max_examples=300)
+@given(nz_queries())
+def test_forced_route_matches_brute_and_cycle_route(query):
+    inst, a = query
+    got = bmatch_nz_min_excess(inst, a)
+    assert got.excess == brute_nz_min_excess(inst.game(), inst.y, a).excess
+    assert got.excess == bmatch_nz_min_excess_by_cycles(inst, a).excess
+    assert coalition_sum(a, got.coalition) != 0
+    assert excess(inst.game(), inst.y, got.coalition) == got.excess
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_forced_lsa_matches_brute_on_proper_subspaces(data):
+    inst = data.draw(bmatch_instances())
+    n = inst.graph.n
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    L = LinearSubspace.from_rows(data.draw(st.lists(row, max_size=n - 1)), n)
+    got = bmatch_lsa_min_excess(inst, L)
+    assert got.excess == brute_lsa_min_excess(inst.game(), inst.y, L).excess

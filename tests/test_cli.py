@@ -243,7 +243,9 @@ def test_serialize_rejects_mismatches():
 def test_selftest(capsys):
     code, out, _ = run(capsys, ["selftest", "--seed", "3"])
     assert code == 0
-    assert json.loads(out)["ok"]
+    d = json.loads(out)
+    assert d["ok"]
+    assert "forced-vs-cycle-route" in {c["name"] for c in d["checks"]}
 
 
 GRAPH_GAMES = {
@@ -284,3 +286,36 @@ def test_solve_oracle_mode_matches_enumerate_on_graph_games(capsys, tmp_path, gt
     assert code1 == code2 == 0
     assert json.loads(out1)["allocation"] == json.loads(out2)["allocation"]
     assert _oracle_sep(load_game_dict(GRAPH_GAMES[gtype]).game) is not brute_lsa_min_excess
+
+
+# An 8-vertex, 11-edge game with two capacity-2 vertices (weights 1..9).
+BMATCH8 = {
+    "kind": "value",
+    "players": [f"v{i}" for i in range(8)],
+    "game": {
+        "type": "bmatching",
+        "graph": {
+            "n": 8,
+            "edges": [[0, 1], [1, 2], [1, 3], [1, 4], [1, 6], [2, 3],
+                      [2, 4], [2, 5], [4, 5], [4, 6], [5, 7]],
+        },
+        "w": ["4", "1", "5", "5", "6", "3", "5", "1", "4", "5", "1"],
+        "b": [1, 1, 2, 1, 1, 1, 2, 1],
+    },
+}
+
+
+def test_oracle_mode_solves_past_the_enumeration_cap(capsys, tmp_path, monkeypatch):
+    path = write(tmp_path, "bmatch8.json", BMATCH8)
+    code, out, _ = run(capsys, ["solve", path, "--mode", "enumerate"])
+    assert code == 0
+    want = json.loads(out)["allocation"]
+    assert want == ["0", "5", "3/2", "3/2", "5", "1", "1", "0"]
+
+    monkeypatch.setenv("NUCNZ_ENUM_CAP", "7")
+    code, out, _ = run(capsys, ["solve", path, "--mode", "oracle"])
+    assert code == 0
+    assert json.loads(out)["allocation"] == want
+    code, out, err = run(capsys, ["solve", path, "--mode", "enumerate"])
+    assert code == 1 and out == ""
+    assert "enumeration cap 7" in json.loads(err)["error"]
