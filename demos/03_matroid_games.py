@@ -3,8 +3,8 @@
 Players are the edges of a graph.  The cost of a coalition is the least
 number of forests covering it; the value of a coalition is the most
 disjoint spanning trees it contains.  Both constrained-excess solvers
-run on matroid machinery (k-fold unions, duals, truncations) and the
-whole nucleolus is computed through them in oracle mode.
+run on k-fold union matroids, one exchange from the greedy optimum, and
+the whole nucleolus is computed through them in oracle mode.
 """
 
 from fractions import Fraction as F

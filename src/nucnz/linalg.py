@@ -188,20 +188,16 @@ def integer_kernel_basis(L: LinearSubspace) -> list[tuple[int, ...]]:
     n = L.ambient_dim
     if not L.is_proper():
         raise ValueError("subspace is the full space; no avoidance possible")
-    basis = [list(r) for r in L.basis_rows]
-    if not basis:
+    if not L.basis_rows:
         return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    # Null space of the basis matrix: pivot/free split from RREF.
-    reduced = rref(basis)
-    pivots = []
-    for row in reduced:
-        pivots.append(next(i for i, x in enumerate(row) if x != 0))
+    # Null space of the basis matrix: pivot/free split from its RREF rows.
+    pivots = [next(i for i, x in enumerate(row) if x != 0) for row in L.basis_rows]
     free = [j for j in range(n) if j not in pivots]
     kernel = []
     for j in free:
         v = [Fraction(0)] * n
         v[j] = Fraction(1)
-        for row, p in zip(reduced, pivots):
+        for row, p in zip(L.basis_rows, pivots):
             v[p] = -row[j]
         kernel.append(v)
     canon = rref(kernel)

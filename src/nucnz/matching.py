@@ -169,6 +169,8 @@ class BMatchingGame(GameOracle):
     def __init__(self, g: Graph, w: Sequence[Fraction], b: Sequence[int]):
         if g.has_loops():
             raise ValueError("degree-capped matching games require loop-free graphs")
+        if len(w) != g.m or len(b) != g.n:
+            raise ValueError("need one weight per edge and one capacity per vertex")
         super().__init__(g.n)
         self.graph = g
         self.w = tuple(Fraction(v) for v in w)

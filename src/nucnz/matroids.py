@@ -1,11 +1,14 @@
 """Independence-oracle matroids and non-zero-constrained greedy solvers.
 
 Ground sets are edge-id ranges of a graph; subsets are bit masks.  The
-building blocks compose: graphic matroid, its k-fold union (edge sets
-partitionable into k forests, decided by augmenting paths), duals and
-truncations.  On top sit the maximum-weight non-zero basis/independent-set
-solvers and the constrained excess solvers for the two matroid game
-families (forest-cover cost games and spanning-tree-packing value games).
+matroids are the graphic matroid and its k-fold union (edge sets
+partitionable into k forests, decided by augmenting paths).  Every
+non-zero query -- best basis, best independent set, cheapest spanning
+set -- is one exchange from the greedy optimum: if the greedy set's label
+sum vanishes, some best set with a nonzero label is a single drop, add or
+swap away from it.  On top sit the constrained excess solvers for the two
+matroid game families (forest-cover cost games and spanning-tree-packing
+value games).
 """
 
 from __future__ import annotations
@@ -24,9 +27,6 @@ __all__ = [
     "NZBasisResult",
     "graphic_matroid",
     "union_k_matroid",
-    "dual_matroid",
-    "truncate",
-    "free_matroid",
     "max_weight_basis",
     "nz_max_weight_basis",
     "nz_max_weight_independent_set",
@@ -63,10 +63,6 @@ class MatroidOracle:
                 cur |= bit
                 r += 1
         return r
-
-
-def free_matroid(ground_size: int) -> MatroidOracle:
-    return MatroidOracle(ground_size, lambda mask: True)
 
 
 def graphic_matroid(g: Graph) -> MatroidOracle:
@@ -182,23 +178,6 @@ def _augment(g: Graph, forests: list[set[int]], colors: dict[int, int], e0: int)
         x, i = pred[x]
 
 
-def dual_matroid(m: MatroidOracle) -> MatroidOracle:
-    full = (1 << m.ground_size) - 1
-    full_rank = m.rank(full)
-
-    def indep(mask: int) -> bool:
-        return m.rank(full & ~mask) == full_rank
-
-    return MatroidOracle(m.ground_size, indep)
-
-
-def truncate(m: MatroidOracle, k: int) -> MatroidOracle:
-    def indep(mask: int) -> bool:
-        return bin(mask).count("1") <= k and m.is_independent(mask)
-
-    return MatroidOracle(m.ground_size, indep)
-
-
 @dataclass(frozen=True)
 class NZBasisResult:
     subset: int
@@ -206,17 +185,22 @@ class NZBasisResult:
     a_value: int
 
 
-def _order_by_weight(m: MatroidOracle, w: Sequence[Fraction]):
-    return sorted(range(m.ground_size), key=lambda e: (-Fraction(w[e]), e))
+def _order_by_weight(ground_size: int, w: Sequence[Fraction]) -> list[int]:
+    return sorted(range(ground_size), key=lambda e: (-Fraction(w[e]), e))
+
+
+def _greedy(mask: int, order: Sequence[int], keep: Callable[[int], bool]) -> int:
+    """Toggle the elements of ``order`` in turn; keep each toggle that
+    ``keep`` accepts."""
+    for e in order:
+        if keep(mask ^ (1 << e)):
+            mask ^= 1 << e
+    return mask
 
 
 def max_weight_basis(m: MatroidOracle, w: Sequence[Fraction]) -> int:
     """Greedy basis by descending weight, index tie-break."""
-    mask = 0
-    for e in _order_by_weight(m, w):
-        if m.is_independent(mask | (1 << e)):
-            mask |= 1 << e
-    return mask
+    return _greedy(0, _order_by_weight(m.ground_size, w), m.is_independent)
 
 
 def _subset_weight(w: Sequence[Fraction], mask: int) -> Fraction:
@@ -227,55 +211,79 @@ def _subset_label(a: Sequence[int], mask: int) -> int:
     return sum(a[e] for e in range(len(a)) if (mask >> e) & 1)
 
 
+def _best_nz_neighbour(
+    ground_size: int,
+    start: int,
+    w: Sequence[Fraction],
+    a: Sequence[int],
+    feasible: Callable[[int], bool],
+) -> NZBasisResult | None:
+    """Best feasible set with a nonzero label, given a maximum-weight
+    feasible ``start``.
+
+    If the label of ``start`` is nonzero it is optimal.  Otherwise some
+    optimal nonzero set differs from it by one exchange that changes the
+    label: a drop (a[e] != 0), an add (a[f] != 0) or a swap (a[e] != a[f]).
+    For bases this is the symmetric-exchange argument.  The independent
+    sets of a rank-r matroid are the bases of its sum with r free elements
+    of weight and label 0, truncated to rank r; a drop or an add is a swap
+    with one of those.  The spanning sets are the complements of the
+    independent sets of the dual matroid.  The moves are tried by
+    descending weight, then ascending mask, and the first feasible one is
+    returned: the best by (weight, -mask).  None means no move is
+    feasible, so every feasible set has a zero label.
+    """
+    if _subset_label(a, start) == 0:
+        wf = [Fraction(v) for v in w]
+        inside = [e for e in range(ground_size) if (start >> e) & 1]
+        outside = [f for f in range(ground_size) if not (start >> f) & 1]
+        moves = [(-wf[e], start ^ (1 << e)) for e in inside if a[e]]
+        moves += [(wf[f], start | (1 << f)) for f in outside if a[f]]
+        moves += [
+            (wf[f] - wf[e], start ^ (1 << e) | (1 << f))
+            for e in inside
+            for f in outside
+            if a[e] != a[f]
+        ]
+        moves.sort(key=lambda mv: (-mv[0], mv[1]))
+        start = next((cand for _, cand in moves if feasible(cand)), None)
+        if start is None:
+            return None
+    return NZBasisResult(start, _subset_weight(w, start), _subset_label(a, start))
+
+
 def nz_max_weight_basis(
     m: MatroidOracle, w: Sequence[Fraction], a: Sequence[int]
 ) -> NZBasisResult | None:
-    """Maximum-weight basis with nonzero label sum, by the one-swap method.
-
-    If the greedy maximum-weight basis already has a nonzero label it is
-    optimal.  Otherwise some optimal nonzero basis differs from it by a
-    single exchange (symmetric-exchange argument), so the best exchange
-    with a label change is returned.  None means every basis sums to zero.
-    """
+    """Maximum-weight basis with nonzero label sum: one exchange from the
+    greedy basis.  None means every basis sums to zero."""
     b0 = max_weight_basis(m, w)
-    a0 = _subset_label(a, b0)
-    if a0 != 0:
-        return NZBasisResult(b0, _subset_weight(w, b0), a0)
-    best: tuple[Fraction, int] | None = None
-    for e in range(m.ground_size):
-        if not (b0 >> e) & 1:
-            continue
-        removed = b0 ^ (1 << e)
-        for f in range(m.ground_size):
-            if (b0 >> f) & 1 or a[f] == a[e]:
-                continue
-            cand = removed | (1 << f)
-            if m.is_independent(cand):
-                wt = _subset_weight(w, cand)
-                if best is None or (wt, -cand) > (best[0], -best[1]):
-                    best = (wt, cand)
-    if best is None:
-        return None
-    return NZBasisResult(best[1], best[0], _subset_label(a, best[1]))
+    size = b0.bit_count()
+    return _best_nz_neighbour(
+        m.ground_size, b0, w, a, lambda s: s.bit_count() == size and m.is_independent(s)
+    )
 
 
 def nz_max_weight_independent_set(
     m: MatroidOracle, w: Sequence[Fraction], a: Sequence[int]
 ) -> NZBasisResult | None:
-    """Best nonzero independent set as one non-zero basis query.
+    """Maximum-weight independent set with nonzero label sum: one exchange
+    from the greedy set over the strictly positive weights."""
+    positive = [e for e in _order_by_weight(m.ground_size, w) if Fraction(w[e]) > 0]
+    start = _greedy(0, positive, m.is_independent)
+    return _best_nz_neighbour(m.ground_size, start, w, a, m.is_independent)
 
-    With r = rank(M), the bases of truncate(M + r free dummies, r) are the
-    independent sets of M padded with dummies, so a dummy of weight 0 and
-    label 0 turns "independent set" into "basis".  The dummies take the
-    low bit positions: greedy ties at weight 0 go to dummies first, which
-    keeps the chosen real set as small as possible.
-    """
-    r = m.rank()
-    padded = MatroidOracle(m.ground_size + r, lambda mask: m.is_independent(mask >> r))
-    res = nz_max_weight_basis(truncate(padded, r), [0] * r + list(w), [0] * r + list(a))
-    if res is None:
-        return None
-    return NZBasisResult(res.subset >> r, res.weight, res.a_value)
+
+def _nz_max_weight_spanning_set(
+    ground_size: int, w: Sequence[Fraction], a: Sequence[int], spans: Callable[[int], bool]
+) -> NZBasisResult | None:
+    """Maximum-weight set S with spans(S) and nonzero label sum: one
+    exchange from reverse deletion, which drops the negative-weight
+    elements, lightest first, while the rest still spans."""
+    wf = [Fraction(v) for v in w]
+    light = sorted((e for e in range(ground_size) if wf[e] < 0), key=lambda e: (wf[e], e))
+    start = _greedy((1 << ground_size) - 1, light, spans)
+    return _best_nz_neighbour(ground_size, start, w, a, spans)
 
 
 def arboricity_value(g: Graph, mask: int) -> int:
@@ -293,20 +301,24 @@ def arboricity_value(g: Graph, mask: int) -> int:
     raise AssertionError("unreachable: every loop-free set splits into |S| forests")
 
 
+def _packs_trees(g: Graph, k: int) -> Callable[[int], bool]:
+    """Whether an edge set holds k disjoint spanning trees, i.e. spans the
+    k-fold union matroid (rank k(n-1)); every set holds zero."""
+    if k == 0:
+        return lambda mask: True
+    union, r = union_k_matroid(g, k), k * (g.n - 1)
+    return lambda mask: union.rank(mask) == r
+
+
 def network_strength_value(g: Graph, mask: int) -> int:
     """Most disjoint spanning trees of g inside the edge subset."""
     if g.n < 2:
         raise ValueError("spanning-tree packing needs at least two vertices")
     if not g.is_connected():
         return 0
-    tree_size = g.n - 1
-    count = bin(mask).count("1")
     k = 0
-    while (k + 1) * tree_size <= count:
-        if union_k_matroid(g, k + 1).rank(mask) == (k + 1) * tree_size:
-            k += 1
-        else:
-            break
+    while (k + 1) * (g.n - 1) <= mask.bit_count() and _packs_trees(g, k + 1)(mask):
+        k += 1
     return k
 
 
@@ -373,59 +385,26 @@ def network_strength_nz_min_excess(
 ) -> ExcessReport:
     """Minimize y(S) - v(S) over edge sets with a(S) != 0.
 
-    The packing-level sweep works on the dual of the k-fold union matroid;
-    when the labels do not cancel over the whole edge set, a dummy
-    self-loop with a large allocation absorbs the surplus so that optimal
-    complements never contain it.
+    Packing level k contributes the cheapest edge set with a nonzero label
+    that holds k disjoint spanning trees.
     """
     if all(v == 0 for v in a):
         raise ValueError("non-zero constraint vector must have a nonzero entry")
     if g.n < 2:
         raise ValueError("spanning-tree packing needs at least two vertices")
     yf = [Fraction(v) for v in y]
-    candidates: list[tuple[Fraction, int]] = []
-
-    def consider(mask: int):
-        if _subset_label(a, mask) == 0:
-            return
-        ex = coalition_sum(yf, mask) - Fraction(network_strength_value(g, mask))
-        candidates.append((ex, mask))
-
-    # Packing level 0: minimize y(S) subject only to the label constraint.
-    res0 = nz_max_weight_independent_set(free_matroid(g.m), [-v for v in yf], a)
-    if res0 is not None:
-        consider(res0.subset)
-
-    if g.is_connected():
-        tree_size = g.n - 1
-        total = sum(a)
-        if total != 0:
-            ext_graph = Graph(g.n, g.edges + ((0, 0),))
-            ext_a = list(a) + [-total]
-            big = 1 + 2 * sum(abs(v) for v in yf)
-            ext_y = yf + [Fraction(big)]
-            dummy_bit = 1 << g.m
-        else:
-            ext_graph = g
-            ext_a = list(a)
-            ext_y = yf
-            dummy_bit = 0
-        full = (1 << ext_graph.m) - 1
-        for k in range(1, g.m // tree_size + 1):
-            union = union_k_matroid(ext_graph, k)
-            if union.rank(full) != k * tree_size:
-                continue  # no edge set packs k spanning trees
-            res = nz_max_weight_independent_set(dual_matroid(union), ext_y, ext_a)
-            if res is None:
-                continue
-            s_ext = full & ~res.subset
-            if dummy_bit and (s_ext & dummy_bit):
-                continue  # complement through the dummy never translates back
-            consider(s_ext & ((1 << g.m) - 1))
-
-    if not candidates:
-        raise ValueError("no edge set satisfies the non-zero constraint")
-    ex, mask = min(candidates)
+    neg = [-v for v in yf]
+    full = (1 << g.m) - 1
+    candidates = []
+    for k in range(g.m // (g.n - 1) + 1):
+        spans = _packs_trees(g, k)
+        if not spans(full):
+            break  # no edge set packs k spanning trees, nor k + 1
+        res = _nz_max_weight_spanning_set(g.m, neg, a, spans)
+        if res is not None:
+            ex = coalition_sum(yf, res.subset) - Fraction(network_strength_value(g, res.subset))
+            candidates.append((ex, res.subset))
+    ex, mask = min(candidates)  # level 0 always has a candidate
     return ExcessReport(mask, ex)
 
 
@@ -435,7 +414,7 @@ def arboricity_lsa_solver(g: Graph):
     The scheme works on the negated (value) view, so the incoming
     allocation is negated back before the cost-side solver runs.  The
     kernel of the avoided span is folded into one non-zero vector; the
-    one-swap basis solver compares labels only for equality, so the folded
+    one-exchange solver compares labels only for equality, so the folded
     query costs about as much as a single kernel-vector query.
     """
 

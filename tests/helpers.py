@@ -134,6 +134,21 @@ def brute_best_nz_independent_set(matroid, w, a):
     return best
 
 
+def brute_best_nz_spanning_set(matroid, w, a):
+    """(weight, mask) of the best spanning set (rank equal to the whole
+    ground set's) with nonzero label, or None."""
+    n = matroid.ground_size
+    rank = matroid.rank()
+    best = None
+    for mask in range(1 << n):
+        if matroid.rank(mask) != rank or sum(a[e] for e in bits(mask)) == 0:
+            continue
+        wt = subset_sum(w, mask)
+        if best is None or wt > best[0]:
+            best = (wt, mask)
+    return best
+
+
 def check_matroid_axioms(matroid):
     """Empty set, downward closure, exchange; exhaustive on the ground set."""
     n = matroid.ground_size

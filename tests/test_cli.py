@@ -166,6 +166,15 @@ MALFORMED_GAMES = {
     "bmatching b with null": (
         "value", 2, {"type": "bmatching", "graph": GRAPH, "w": ["1"], "b": [None, 1]},
     ),
+    "bmatching w shorter than the edges": (
+        "value", 2, {"type": "bmatching", "graph": GRAPH, "w": [], "b": [1, 1]},
+    ),
+    "bmatching w longer than the edges": (
+        "value", 2, {"type": "bmatching", "graph": GRAPH, "w": ["1", "2"], "b": [1, 1]},
+    ),
+    "bmatching b shorter than the vertices": (
+        "value", 2, {"type": "bmatching", "graph": GRAPH, "w": ["1"], "b": [1]},
+    ),
 }
 
 

@@ -2,13 +2,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brute_arboricity,
     brute_best_nz_basis,
     brute_best_nz_independent_set,
+    brute_best_nz_spanning_set,
     brute_strength,
     check_matroid_axioms,
+    popcount,
     subset_sum,
 )
 from nucnz.fixtures import random_graph, random_subspace_rows
@@ -23,11 +27,10 @@ from nucnz.linalg import LinearSubspace
 from nucnz.matroids import (
     ArboricityGame,
     NetworkStrengthGame,
+    _nz_max_weight_spanning_set,
     arboricity_lsa_solver,
     arboricity_nz_min_excess,
     arboricity_value,
-    dual_matroid,
-    free_matroid,
     graphic_matroid,
     max_weight_basis,
     network_strength_lsa_solver,
@@ -35,7 +38,6 @@ from nucnz.matroids import (
     network_strength_value,
     nz_max_weight_basis,
     nz_max_weight_independent_set,
-    truncate,
     union_k_matroid,
 )
 
@@ -59,20 +61,6 @@ def test_union_two_forests_cover_triangle():
     assert not union_k_matroid(TRIANGLE, 1).is_independent(0b111)
 
 
-def test_dual_of_tree_only_empty_independent():
-    tree = Graph.of(3, [(0, 1), (1, 2)])
-    d = dual_matroid(graphic_matroid(tree))
-    assert d.is_independent(0)
-    assert not d.is_independent(0b01)
-    assert not d.is_independent(0b10)
-
-
-def test_truncation():
-    m = truncate(graphic_matroid(K4), 2)
-    assert m.is_independent(0b000011)
-    assert not m.is_independent(0b000111)
-
-
 def test_axioms_on_random_constructions():
     rng = random.Random(5)
     for trial in range(25):
@@ -82,8 +70,6 @@ def test_axioms_on_random_constructions():
         k = rng.randint(1, 3)
         um = union_k_matroid(g, k)
         assert check_matroid_axioms(um)
-        assert check_matroid_axioms(dual_matroid(gm))
-        assert check_matroid_axioms(truncate(um, rng.randint(1, g.m)))
 
 
 def test_union_matches_partition_definition():
@@ -147,7 +133,7 @@ def test_nz_basis_direct_when_greedy_nonzero():
 
 
 def test_nz_independent_set_forced_negative_singleton():
-    m = free_matroid(1)
+    m = graphic_matroid(Graph.of(2, [(0, 1)]))
     res = nz_max_weight_independent_set(m, [F(-5)], [1])
     assert res is not None and res.subset == 1 and res.weight == -5
 
@@ -168,13 +154,11 @@ def test_nz_basis_matches_brute_on_random_graphic():
 
 
 def test_nz_independent_set_matches_brute():
-    # Union, dual-of-union and free matroids are the three that the game
-    # solvers query; zero weights and labels tie real elements with dummies.
+    # Zero weights and labels exercise the drops and adds of the exchange.
     rng = random.Random(41)
     for trial in range(90):
         g = random_graph(rng.randint(2, 4), rng.randint(1, 6), 400 + trial)
-        union = union_k_matroid(g, rng.randint(1, 2))
-        m = (union, dual_matroid(union), free_matroid(g.m))[trial % 3]
+        m = union_k_matroid(g, rng.randint(1, 2))
         w = [F(rng.randint(-4, 4)) for _ in range(g.m)]
         a = [rng.randint(-2, 2) for _ in range(g.m)]
         got = nz_max_weight_independent_set(m, w, a)
@@ -186,6 +170,49 @@ def test_nz_independent_set_matches_brute():
             assert m.is_independent(got.subset)
             assert got.weight == subset_sum(w, got.subset)
             assert got.a_value == sum(a[e] for e in range(g.m) if (got.subset >> e) & 1) != 0
+
+
+@st.composite
+def union_queries(draw):
+    """A k-fold union matroid, k in {1, 2}, of a multigraph on at most 4
+    vertices and 6 edges (loops allowed), with weights and labels that may
+    be zero."""
+    n = draw(st.integers(1, 4))
+    vertex = st.integers(0, n - 1)
+    g = Graph.of(n, draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=6)))
+    weight = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2]))
+    w = draw(st.lists(weight, min_size=g.m, max_size=g.m))
+    a = draw(st.lists(st.integers(-2, 2), min_size=g.m, max_size=g.m))
+    return union_k_matroid(g, draw(st.integers(1, 2))), w, a
+
+
+@settings(max_examples=300)
+@given(union_queries())
+def test_one_exchange_queries_match_brute(query):
+    # Bases, independent sets and spanning sets: each query's result is
+    # feasible, carries its stated weight and label, and is optimal.
+    m, w, a = query
+    rank = m.rank()
+
+    def spans(mask):
+        return m.rank(mask) == rank
+
+    queries = [
+        (nz_max_weight_basis(m, w, a), brute_best_nz_basis(m, w, a),
+         lambda s: popcount(s) == rank and m.is_independent(s)),
+        (nz_max_weight_independent_set(m, w, a), brute_best_nz_independent_set(m, w, a),
+         m.is_independent),
+        (_nz_max_weight_spanning_set(m.ground_size, w, a, spans),
+         brute_best_nz_spanning_set(m, w, a), spans),
+    ]
+    for got, want, feasible in queries:
+        if want is None:
+            assert got is None
+            continue
+        assert got is not None and got.weight == want[0]
+        assert feasible(got.subset)
+        assert got.weight == subset_sum(w, got.subset)
+        assert got.a_value == subset_sum(a, got.subset) != 0
 
 
 def test_arboricity_values():
@@ -267,15 +294,15 @@ def test_lsa_solvers_match_brute(game_class, lsa_solver):
         done += 1
 
 
-def test_strength_nz_exercises_dummy_edge():
-    # labels not cancelling over E force the dummy-loop path
+def test_strength_nz_labels_not_cancelling_over_all_edges():
+    # the labels do not cancel over the whole edge set: a(E) = 3
     g = TRIANGLE
     y = make_allocation([1, 1, 1])
     a = [1, 1, 1]
     got = network_strength_nz_min_excess(g, y, a)
     want = brute_nz_min_excess(NetworkStrengthGame(g), y, a)
     assert got.excess == want.excess
-    assert not got.coalition >> g.m  # never reports the dummy edge
+    assert not got.coalition >> g.m
 
 
 def test_single_tree_forced_whole_edge_set():
