@@ -3,12 +3,18 @@
 Vectors and matrices are plain sequences of ``fractions.Fraction`` (or ints,
 which coerce exactly).  Everything here is dense; the toolkit never needs
 ambient dimensions beyond a few dozen.
+
+A ``LinearSubspace`` computes its integer kernel once, on first use, by
+fraction-free (Bareiss-style) Gauss-Jordan elimination over integer rows,
+and keeps it; span membership stays a ``Fraction`` reduction against the
+RREF basis, independent of that kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -24,16 +30,21 @@ __all__ = [
     "in_span",
     "integer_kernel_basis",
     "fold_kernel",
-    "primitive_int_vector",
     "integer_scaled",
 ]
 
 
 def parse_rat(s: str | int) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` (or an int) into an exact rational."""
+    """Parse ``"p/q"`` or ``"p"`` (or an int) into an exact rational.
+
+    Raises ``ValueError`` on malformed text, a zero denominator included.
+    """
     if isinstance(s, int):
         return Fraction(s)
-    return Fraction(str(s).strip())
+    try:
+        return Fraction(str(s).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def rat_str(x: Fraction | int) -> str:
@@ -91,26 +102,6 @@ def rank(rows: Iterable[Sequence]) -> int:
     return len(rref(rows))
 
 
-def primitive_int_vector(row: Sequence) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector.
-
-    Entries are multiplied by the lcm of denominators, divided by their gcd,
-    and sign-normalized so the first nonzero entry is positive.
-    """
-    fracs = _as_row(row)
-    den = lcm(*(v.denominator for v in fracs))
-    ints = [int(v * den) for v in fracs]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
-    return tuple(ints)
-
-
 def integer_scaled(values: Sequence) -> tuple[list[int], int]:
     """Rationals as integer numerators over one positive denominator:
     returns (the values times d, d) for d the lcm of their denominators.
@@ -158,6 +149,12 @@ class LinearSubspace:
         rows.append(_as_row(vec))
         return LinearSubspace.from_rows(rows, self.ambient_dim)
 
+    @cached_property
+    def _integer_kernel(self) -> tuple[tuple[int, ...], ...]:
+        # Stored in the instance __dict__: not a field, so equality, hashing
+        # and the frozen check are untouched.
+        return _kernel_rows(self)
+
 
 def in_span(L: LinearSubspace, vec: Sequence) -> bool:
     """True iff ``vec`` lies in the span of ``L``'s basis rows.
@@ -183,25 +180,51 @@ def integer_kernel_basis(L: LinearSubspace) -> list[tuple[int, ...]]:
     Returns ``ambient_dim - dim(L)`` primitive integer vectors a_1..a_k with
     <a_i, b> = 0 for every basis row b; together they cut out exactly L.
     The rows are the RREF basis of the complement, gcd-reduced with positive
-    leading entry, so the output is deterministic.
+    leading entry, so the output is deterministic.  It is computed once per
+    subspace; each call returns a fresh list.
     """
+    return list(L._integer_kernel)
+
+
+def _kernel_rows(L: LinearSubspace) -> tuple[tuple[int, ...], ...]:
     n = L.ambient_dim
     if not L.is_proper():
         raise ValueError("subspace is the full space; no avoidance possible")
-    if not L.basis_rows:
-        return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    # Null space of the basis matrix: pivot/free split from its RREF rows.
+    # Null space of the basis matrix: pivot/free split from its RREF rows,
+    # one kernel vector per free column, scaled to integers.
     pivots = [next(i for i, x in enumerate(row) if x != 0) for row in L.basis_rows]
-    free = [j for j in range(n) if j not in pivots]
-    kernel = []
-    for j in free:
-        v = [Fraction(0)] * n
-        v[j] = Fraction(1)
+    mat = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        v = [0] * n
+        v[j] = 1
         for row, p in zip(L.basis_rows, pivots):
             v[p] = -row[j]
-        kernel.append(v)
-    canon = rref(kernel)
-    return [primitive_int_vector(r) for r in canon]
+        mat.append(integer_scaled(v)[0])
+    # Gauss-Jordan in integers: every row stays primitive and proportional
+    # to the row that ``rref`` would hold (same pivots, same zero pattern),
+    # so a final sign fix gives the RREF row as a primitive integer vector.
+    top = 0
+    for col in range(n):
+        piv = next((i for i in range(top, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[top], mat[piv] = mat[piv], mat[top]
+        prow = mat[top]
+        p = prow[col]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if f and i != top:
+                new = [p * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*new)
+                mat[i] = [a // g for a in new]
+        top += 1
+        if top == len(mat):
+            break
+    return tuple(
+        tuple(r) if next(v for v in r if v) > 0 else tuple(-v for v in r) for r in mat[:top]
+    )
 
 
 def fold_kernel(vectors: Sequence[Sequence[int]]) -> tuple[int, ...]:

@@ -17,7 +17,10 @@ checked to be exact and every intermediate quantity is exact.  A Dantzig
 pivot rule is used first for speed and the solver switches permanently
 to Bland's rule after a fixed number of iterations, which guarantees
 termination.  Optimal solutions come with exact duals, and a strong
-duality certificate is checked before returning.
+duality certificate is checked before returning.  The check reads only
+the instance and the returned solution, never the tableau, and runs in
+integers: x and the duals over one denominator each, and each row scaled
+by the lcm of its own denominators.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
+
+from .linalg import integer_scaled
 
 __all__ = ["LPInstance", "LPSolution", "LPError", "solve_lp_exact"]
 
@@ -176,18 +181,19 @@ def solve_lp_exact(lp: LPInstance) -> LPSolution:
     # that its unit column n + i is a +1 slack.
     helper = n + m
     bcol = helper + 1
-    sigma = lcm(*(v.denominator for v in lp.objective))
     # Phase-2 cost row: minimize -sigma * objective.
-    cost2 = [-int(v * sigma) for v in lp.objective] + [0] * (m + 2)
+    scaled, sigma = integer_scaled(lp.objective)
+    cost2 = [-v for v in scaled] + [0] * (m + 2)
     rows: list[list[int]] = []
     orient: list[int] = []
     for i, (coeffs, sense, rhs) in enumerate(lp.rows):
-        rho = lcm(rhs.denominator, *(v.denominator for v in coeffs))
+        scaled, rho = integer_scaled((*coeffs, rhs))
         if sense == ">=":
+            scaled = [-v for v in scaled]
             rho = -rho
-        row = [int(v * rho) for v in coeffs] + [0] * (m + 2)
+        row = scaled[:n] + [0] * (m + 2)
         row[n + i] = 1
-        row[bcol] = int(rhs * rho)
+        row[bcol] = scaled[n]
         rows.append(row)
         orient.append(rho)
     tab = _Tableau(rows, [cost2])
@@ -302,11 +308,20 @@ def _free_row(rows: list[list[int]], rest: list[int], j: int, equality: list[boo
 
 
 def _verify_certificate(lp: LPInstance, sol: LPSolution) -> None:
+    """Check primal feasibility, dual signs, stationarity and strong duality
+    from ``lp`` and ``sol`` alone.  A dual is carried into the sums over its
+    row times common // rho, so every row stands over the common lcm."""
     assert sol.x is not None and sol.duals is not None
-    x, duals = sol.x, sol.duals
-    dual_obj = Fraction(0)
-    for (coeffs, sense, rhs), d in zip(lp.rows, duals):
-        lhs = sum((c * v for c, v in zip(coeffs, x)), Fraction(0))
+    x, dx = integer_scaled(sol.x)
+    duals, dd = integer_scaled(sol.duals)
+    rows = [integer_scaled((*coeffs, rhs)) for coeffs, _, rhs in lp.rows]
+    common = lcm(*(rho for _, rho in rows))
+    # Below, dual_obj and coefs (the sum of d_i a_i) are scaled by dd * common.
+    dual_obj = 0
+    coefs = [0] * lp.n_vars
+    for (_, sense, _), (row, rho), d in zip(lp.rows, rows, duals):
+        lhs = sum(c * v for c, v in zip(row, x))
+        rhs = row[-1] * dx
         if sense == "==" and lhs != rhs:
             raise LPError("primal equality violated")
         if sense == "<=":
@@ -319,18 +334,19 @@ def _verify_certificate(lp: LPInstance, sol: LPSolution) -> None:
                 raise LPError("primal >= row violated")
             if d > 0:
                 raise LPError("dual sign on >= row")
-        dual_obj += d * rhs
-    for j in range(lp.n_vars):
-        coef = sum(
-            (duals[i] * lp.rows[i][0][j] for i in range(len(lp.rows))), Fraction(0)
-        )
+        if d:
+            e = d * (common // rho)
+            dual_obj += e * row[-1]
+            coefs = [a + e * c for a, c in zip(coefs, row)]
+    scale = dd * common
+    for j, (coef, obj) in enumerate(zip(coefs, lp.objective)):
         if lp.free[j]:
-            if coef != lp.objective[j]:
+            if coef * obj.denominator != obj.numerator * scale:
                 raise LPError("dual stationarity violated on free variable")
         else:
             if x[j] < 0:
                 raise LPError("nonnegative variable went negative")
-            if coef < lp.objective[j]:
+            if coef * obj.denominator < obj.numerator * scale:
                 raise LPError("dual feasibility violated on bounded variable")
-    if dual_obj != sol.objective:
+    if dual_obj * sol.objective.denominator != sol.objective.numerator * scale:
         raise LPError("strong duality certificate failed")

@@ -104,13 +104,15 @@ def _enumerate_sep(vg: GameOracle) -> LsaSolver:
     """Exhaustive separation: scan the coalitions outside the span."""
     _require_within_cap(vg)
     n = vg.player_count
-    outside_cache: dict[LinearSubspace, bytearray] = {}
+    # The flags of the latest span only: a level passes one span object to
+    # every separation, and the held reference keeps that object alive.
+    held_span = held_outside = None
 
     def sep(_g: GameOracle, y: Sequence[Fraction], span: LinearSubspace) -> ExcessReport:
-        outside = outside_cache.get(span)
-        if outside is None:
-            outside = outside_cache[span] = _outside(span, n)
-        return min_excess_where(vg, y, outside)
+        nonlocal held_span, held_outside
+        if span is not held_span:
+            held_span, held_outside = span, _outside(span, n)
+        return min_excess_where(vg, y, held_outside)
 
     return sep
 

@@ -7,6 +7,7 @@ against, so they must stay independent of the package internals.
 
 from fractions import Fraction as F
 from itertools import combinations
+from math import gcd, lcm
 
 
 def bits(mask):
@@ -370,3 +371,41 @@ def brute_lp_max(objective, rows, free):
             val = sum(F(c) * xi for c, xi in zip(objective, x))
             best = val if best is None else max(best, val)
     return best
+
+
+def rref_kernel_basis(basis_rows, n):
+    """Integer kernel of the span of ``basis_rows`` (an RREF basis in R^n)
+    the way it was first computed: one Fraction kernel vector per free
+    column, a Fraction RREF of those vectors, and each RREF row scaled to a
+    primitive integer vector with a positive leading entry."""
+    if not basis_rows:
+        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    pivots = [next(i for i, x in enumerate(row) if x != 0) for row in basis_rows]
+    mat = []
+    for j in range(n):
+        if j not in pivots:
+            v = [F(0)] * n
+            v[j] = F(1)
+            for row, p in zip(basis_rows, pivots):
+                v[p] = -F(row[j])
+            mat.append(v)
+    top = 0
+    for col in range(n):
+        piv = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
+        if piv is None:
+            continue
+        mat[top], mat[piv] = mat[piv], mat[top]
+        mat[top] = [x / mat[top][col] for x in mat[top]]
+        for r in range(len(mat)):
+            if r != top and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[top])]
+        top += 1
+    out = []
+    for row in mat[:top]:
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*ints)
+        sign = 1 if next(x for x in ints if x) > 0 else -1
+        out.append(tuple(sign * x // g for x in ints))
+    return out

@@ -175,6 +175,7 @@ MALFORMED_GAMES = {
     "bmatching b shorter than the vertices": (
         "value", 2, {"type": "bmatching", "graph": GRAPH, "w": ["1"], "b": [1]},
     ),
+    "table value with a zero denominator": ("value", 1, {"type": "table", "values": ["0", "1/0"]}),
 }
 
 
@@ -205,11 +206,31 @@ def test_malformed_reduction_inputs_fail_with_json(capsys, tmp_path, case):
     assert isinstance(json.loads(err), dict)
 
 
-@pytest.mark.parametrize("basis", [5, [5]], ids=["number", "row not a list"])
+@pytest.mark.parametrize(
+    "basis", [5, [5], [["1/0", 0, 0]]], ids=["number", "row not a list", "zero denominator"]
+)
 def test_malformed_subspace_fails_with_json(capsys, tmp_path, unanimity_file, basis):
     y = write(tmp_path, "y.json", {"y": ["1/3", "1/3", "1/3"]})
     sub = write(tmp_path, "sub.json", {"basis": basis})
     code, out, err = run(capsys, ["min-excess", unanimity_file, "--y", y, "--subspace", sub])
+    assert code == 1 and out == ""
+    assert isinstance(json.loads(err), dict)
+
+
+ZERO_DENOMINATOR_ARGS = {
+    "allocation entry": ["min-excess", "GAME", "--y", "Y"],
+    "approx eps": ["approx", "GAME", "--y", "Y", "--eps", "1/0"],
+    "instability eps": ["experiment", "instability", "--n", "1", "--eps", "1/0", "--K", "2"],
+    "instability K": ["experiment", "instability", "--n", "1", "--eps", "1/4", "--K", "1/0"],
+}
+
+
+@pytest.mark.parametrize("case", list(ZERO_DENOMINATOR_ARGS))
+def test_zero_denominator_fails_with_json(capsys, tmp_path, unanimity_file, case):
+    second = "1/0" if case == "allocation entry" else "1/3"
+    y = write(tmp_path, "y.json", {"y": ["1/3", second, "1/3"]})
+    argv = [{"GAME": unanimity_file, "Y": y}.get(a, a) for a in ZERO_DENOMINATOR_ARGS[case]]
+    code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     assert isinstance(json.loads(err), dict)
 

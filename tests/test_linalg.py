@@ -5,13 +5,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import nucnz.linalg
+from helpers import rref_kernel_basis
 from nucnz.linalg import (
     LinearSubspace,
     fold_kernel,
     in_span,
     integer_kernel_basis,
     parse_rat,
-    primitive_int_vector,
     rank,
     rat_str,
 )
@@ -82,6 +83,42 @@ def test_kernel_orthogonality_and_rank_random():
         assert rank(combined) == n
 
 
+@pytest.mark.parametrize("span", ["any", "empty", "one off full"])
+@given(data=st.data())
+def test_kernel_matches_the_fraction_rref_referee(span, data):
+    n = data.draw(st.integers(1, 8), label="n")
+    if span == "empty":
+        dim = 0
+    elif span == "one off full":
+        dim = n - 1
+    else:
+        dim = data.draw(st.integers(0, n - 1), label="dim")
+    entry = data.draw(
+        st.sampled_from([st.integers(0, 1), st.fractions(-3, 3, max_denominator=4)]),
+        label="entries",
+    )
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=dim, max_size=dim))
+    L = LinearSubspace.from_rows(rows, n)
+    assume(L.dim == dim)
+    assert integer_kernel_basis(L) == rref_kernel_basis(L.basis_rows, n)
+
+
+def test_kernel_is_computed_once_per_subspace(monkeypatch):
+    calls = []
+    compute = nucnz.linalg._kernel_rows
+    monkeypatch.setattr(nucnz.linalg, "_kernel_rows", lambda L: calls.append(L) or compute(L))
+    L = LinearSubspace.from_rows([[1, 1, 0]], 3)
+    first = integer_kernel_basis(L)
+    first[0] = (0, 0, 0)
+    first.append((9, 9, 9))
+    assert integer_kernel_basis(L) == [(1, -1, 0), (0, 0, 1)]
+    M = L.extended([0, 0, 1])
+    assert integer_kernel_basis(M) == [(1, -1, 0)]
+    assert calls == [L, M]
+    assert L == LinearSubspace.from_rows([[2, 2, 0]], 3)
+    assert hash(L) == hash(LinearSubspace.from_rows([[2, 2, 0]], 3))
+
+
 def test_in_span_matches_rank_test():
     rng = random.Random(5)
     for _ in range(80):
@@ -127,15 +164,12 @@ def test_fold_kernel_small_cases():
     assert c[0] + c[2] != 0 and not L.contains([1, 0, 1])
 
 
-def test_primitive_int_vector():
-    assert primitive_int_vector([F(2, 3), F(-4, 3)]) == (1, -2)
-    assert primitive_int_vector([F(-1, 2), F(0)]) == (1, 0)
-    assert primitive_int_vector([0, 0]) == (0, 0)
-
-
 def test_rat_round_trip():
     for s in ["3/4", "-7/5", "12", "0", "-9"]:
         assert rat_str(parse_rat(s)) == s
+    for s in ["1/0", "x", ""]:
+        with pytest.raises(ValueError):
+            parse_rat(s)
     rng = random.Random(3)
     for _ in range(200):
         x = F(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))

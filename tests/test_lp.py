@@ -1,11 +1,13 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_lp_max
-from nucnz.lp import LPInstance, solve_lp_exact
+from nucnz.lp import LPError, LPInstance, _verify_certificate, solve_lp_exact
 
 
 def test_single_upper_bound_with_dual():
@@ -278,3 +280,64 @@ def test_planted_improving_ray_is_unbounded(data):
     if cd <= 0:
         c = [x + (1 - cd) * y for x, y in zip(c, d)]
     assert solve_lp_exact(LPInstance.maximize(c, rows, free)).status == "unbounded"
+
+
+# max a + p - q + b - c - u - w over x = (a, p, q, b, c, u, w, z), with
+# u, w >= 0.  Each certificate condition has a row or variable of its own,
+# so one tampering breaks exactly one condition.  Rows 4 and 6 repeat rows 3
+# and 5 as equalities, so the duals of each pair can change sign without
+# breaking stationarity; rows 8 and 9 have rhs 0, so their duals do not
+# enter the dual objective.
+CERT_LP = LPInstance.maximize(
+    [1, 1, -1, 1, -1, -1, -1, 0],
+    [
+        ((F(1, 2), 0, 0, 0, 0, 0, 0, 0), "==", F(1, 2)),
+        ((0, 1, 0, 0, 0, 0, 0, 0), "<=", F(1, 3)),
+        ((0, 0, F(2, 3), 0, 0, 0, 0, 0), ">=", F(2, 3)),
+        ((0, 0, 0, 1, 0, 0, 0, 0), "<=", 1),
+        ((0, 0, 0, 1, 0, 0, 0, 0), "==", 1),
+        ((0, 0, 0, 0, 1, 0, 0, 0), ">=", 1),
+        ((0, 0, 0, 0, 1, 0, 0, 0), "==", 1),
+        ((0, 0, 0, 0, 0, 1, 0, 0), "<=", 0),
+        ((0, 0, 0, 0, 0, 0, F(3, 4), 0), "==", 0),
+        ((0, 0, 0, 0, 0, 0, 0, 1), "==", 0),
+    ],
+    free=[True] * 5 + [False, False, True],
+)
+CERT_X = (1, F(1, 3), 1, 1, 1, 0, 0, 0)
+CERT_DUALS = (2, 1, F(-3, 2), 1, 0, -1, 0, 0, 0, 0)
+
+# message: ({x index: value}, {dual index: value}, objective shift)
+CERT_TAMPERS = {
+    "primal equality violated": ({0: 2}, {}, 0),
+    "primal <= row violated": ({1: F(1, 2)}, {}, 0),
+    "primal >= row violated": ({2: F(1, 2)}, {}, 0),
+    "dual sign on <= row": ({}, {3: -1, 4: 2}, 0),
+    "dual sign on >= row": ({}, {5: 1, 6: -2}, 0),
+    "dual stationarity violated on free variable": ({}, {9: 1}, 0),
+    "nonnegative variable went negative": ({5: -1}, {}, 0),
+    "dual feasibility violated on bounded variable": ({}, {8: -2}, 0),
+    "strong duality certificate failed": ({}, {}, F(1, 7)),
+}
+
+
+def _certified_solution():
+    sol = solve_lp_exact(CERT_LP)
+    assert sol.status == "optimal" and sol.x == CERT_X and sol.objective == F(1, 3)
+    sol = replace(sol, duals=tuple(F(d) for d in CERT_DUALS))
+    _verify_certificate(CERT_LP, sol)
+    return sol
+
+
+@pytest.mark.parametrize("message", list(CERT_TAMPERS))
+def test_certificate_rejects_each_tampered_condition(message):
+    sol = _certified_solution()
+    x_edits, dual_edits, shift = CERT_TAMPERS[message]
+    x, duals = list(sol.x), list(sol.duals)
+    for i, v in x_edits.items():
+        x[i] = F(v)
+    for i, v in dual_edits.items():
+        duals[i] = F(v)
+    bad = replace(sol, x=tuple(x), duals=tuple(duals), objective=sol.objective + shift)
+    with pytest.raises(LPError, match=f"^{message}$"):
+        _verify_certificate(CERT_LP, bad)
