@@ -116,10 +116,13 @@ def cmd_solve(args) -> int:
         res = mps_nucleolus(loaded.game, mode="enumerate")
     out = res.to_json_dict()
     out["players"] = loaded.players
-    print(json.dumps(out, indent=2))
     if args.trace:
-        with open(args.trace, "w") as fh:
-            json.dump(out, fh, indent=2)
+        try:
+            with open(args.trace, "w") as fh:
+                json.dump(out, fh, indent=2)
+        except OSError as e:
+            raise CliError(f"cannot write trace file {args.trace!r}", {"cause": str(e)})
+    print(json.dumps(out, indent=2))
     return 0
 
 

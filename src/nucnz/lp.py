@@ -13,7 +13,11 @@ unit columns at the optimum.
 The tableau holds arbitrary-precision integers with a single running
 denominator (the previous pivot, as in Bareiss elimination), so no
 rational normalization happens in the hot loop, every division is
-checked to be exact and every intermediate quantity is exact.  A Dantzig
+checked to be exact and every intermediate quantity is exact.  Each row,
+the cost rows included, is a dict from column to nonzero entry, and a
+pivot touches only nonzeros: the unit columns make a dense tableau
+mostly zeros (on the all-coalition LPs of ``reference_nucleolus`` about
+nine entries in ten that a pivot passes over).  A Dantzig
 pivot rule is used first for speed and the solver switches permanently
 to Bland's rule after a fixed number of iterations, which guarantees
 termination.  Optimal solutions come with exact duals, and a strong
@@ -96,55 +100,71 @@ class LPSolution:
 
 
 class _Tableau:
-    """Integer simplex tableau with a shared denominator."""
+    """Integer simplex tableau with a shared denominator.  Each row is a
+    dict from column to its nonzero entries; column ``bcol`` holds b."""
 
-    def __init__(self, rows: list[list[int]], costs: list[list[int]]):
+    def __init__(self, rows: list[dict[int, int]], costs: list[dict[int, int]], bcol: int):
         self.rows = rows
         self.costs = costs
+        self.bcol = bcol
         self.den = 1
 
     def pivot(self, r: int, c: int) -> None:
         # Bareiss step with the pivot's sign folded in, so that the shared
         # denominator stays positive: every other row becomes
         # (|p| row - sign(p) f rowr) / den, and each division must be exact.
-        # A row with f == 0 is unchanged when |p| == den.
+        # A column outside rowr's support is only scaled; one inside it is
+        # combined and dropped if it cancels (column c always does).  A row
+        # with f == 0 is unchanged when |p| == den.
         den = self.den
         rowr = self.rows[r]
         p = rowr[c]
         sign = -1 if p < 0 else 1
         p *= sign
+        pivot_items = list(rowr.items())
         for block in (self.rows, self.costs):
             for row in block:
                 if row is rowr:
                     continue
-                f = row[c] * sign
+                f = row.get(c, 0) * sign
                 if f:
-                    for j in range(len(row)):
-                        q, rem = divmod(p * row[j] - f * rowr[j], den)
-                        if rem:
-                            raise LPError("integer pivot lost exactness")
-                        row[j] = q
+                    for j, v in row.items():
+                        if j not in rowr:
+                            q, rem = divmod(p * v, den)
+                            if rem:
+                                raise LPError("integer pivot lost exactness")
+                            row[j] = q
+                    for j, v in pivot_items:
+                        v = p * row.get(j, 0) - f * v
+                        if v:
+                            q, rem = divmod(v, den)
+                            if rem:
+                                raise LPError("integer pivot lost exactness")
+                            row[j] = q
+                        elif j in row:
+                            del row[j]
                 elif p != den:
-                    for j in range(len(row)):
-                        q, rem = divmod(p * row[j], den)
+                    for j, v in row.items():
+                        q, rem = divmod(p * v, den)
                         if rem:
                             raise LPError("integer pivot lost exactness")
                         row[j] = q
         if sign < 0:
-            rowr[:] = [-v for v in rowr]
+            for j, v in pivot_items:
+                rowr[j] = -v
         self.den = p
 
 
-def _choose_entering(cost: list[int], allowed: list[int], bland: bool) -> int | None:
+def _choose_entering(cost: dict[int, int], allowed: list[int], bland: bool) -> int | None:
     if bland:
         for j in allowed:
-            if cost[j] < 0:
+            if cost.get(j, 0) < 0:
                 return j
         return None
     best = None
     best_v = 0
     for j in allowed:
-        v = cost[j]
+        v = cost.get(j, 0)
         if v < best_v:
             best_v = v
             best = j
@@ -155,11 +175,12 @@ def _choose_leaving(tab: _Tableau, c: int, basis: list[int], rest: list[int]) ->
     best = None
     best_b = 0
     best_t = 0
+    bcol = tab.bcol
     for i in rest:
         row = tab.rows[i]
-        t = row[c]
+        t = row.get(c, 0)
         if t > 0:
-            b = row[-1]
+            b = row.get(bcol, 0)
             if best is None:
                 best, best_b, best_t = i, b, t
             else:
@@ -183,20 +204,21 @@ def solve_lp_exact(lp: LPInstance) -> LPSolution:
     bcol = helper + 1
     # Phase-2 cost row: minimize -sigma * objective.
     scaled, sigma = integer_scaled(lp.objective)
-    cost2 = [-v for v in scaled] + [0] * (m + 2)
-    rows: list[list[int]] = []
+    cost2 = {j: -v for j, v in enumerate(scaled) if v}
+    rows: list[dict[int, int]] = []
     orient: list[int] = []
     for i, (coeffs, sense, rhs) in enumerate(lp.rows):
         scaled, rho = integer_scaled((*coeffs, rhs))
         if sense == ">=":
             scaled = [-v for v in scaled]
             rho = -rho
-        row = scaled[:n] + [0] * (m + 2)
+        row = {j: v for j, v in enumerate(scaled[:n]) if v}
         row[n + i] = 1
-        row[bcol] = scaled[n]
+        if scaled[n]:
+            row[bcol] = scaled[n]
         rows.append(row)
         orient.append(rho)
-    tab = _Tableau(rows, [cost2])
+    tab = _Tableau(rows, [cost2], bcol)
     basis = [n + i for i in range(m)]
     equality = [sense == "==" for _, sense, _ in lp.rows]
     artificial = {n + i for i in range(m) if equality[i]}
@@ -206,7 +228,7 @@ def solve_lp_exact(lp: LPInstance) -> LPSolution:
     rest = list(range(m))
     for j in range(n):
         if lp.free[j]:
-            r = _free_row(rows, rest, j, equality)
+            r = _free_row(tab, rest, j, equality)
             if r is not None:
                 tab.pivot(r, j)
                 basis[r] = j
@@ -216,7 +238,7 @@ def solve_lp_exact(lp: LPInstance) -> LPSolution:
     structural += [n + i for i in range(m) if not equality[i]]
     bland_after = 100 + 10 * (m + bcol)
 
-    def run(cost_row: list[int], allowed: list[int]) -> str:
+    def run(cost_row: dict[int, int], allowed: list[int]) -> str:
         iters = 0
         while True:
             iters += 1
@@ -234,18 +256,18 @@ def solve_lp_exact(lp: LPInstance) -> LPSolution:
     # Phase 1: the helper column covers every row with a negative basic
     # value and enters at the most negative one; then minimize the helper
     # plus the basic artificials.
-    negative = [i for i in rest if rows[i][bcol] < 0]
+    negative = [i for i in rest if rows[i].get(bcol, 0) < 0]
     held = [i for i in rest if basis[i] in artificial]
-    if negative or any(rows[i][bcol] for i in held):
+    if negative or any(bcol in rows[i] for i in held):
         den = tab.den
         for i in negative:
             rows[i][helper] = -den
-        cost1 = [0] * (bcol + 1)
-        cost1[helper] = den
+        cost1 = {helper: den}
         for i in held:
-            for j, v in enumerate(rows[i]):
-                cost1[j] -= v
-            cost1[basis[i]] += den
+            for j, v in rows[i].items():
+                cost1[j] = cost1.get(j, 0) - v
+            cost1[basis[i]] = cost1.get(basis[i], 0) + den
+        cost1 = {j: v for j, v in cost1.items() if v}
         tab.costs.append(cost1)
         if negative:
             r = min(negative, key=lambda i: rows[i][bcol])
@@ -253,14 +275,14 @@ def solve_lp_exact(lp: LPInstance) -> LPSolution:
             basis[r] = helper
         if run(cost1, structural + [helper]) != "optimal":
             raise LPError("phase 1 cannot be unbounded")
-        if cost1[bcol] < 0:
+        if cost1.get(bcol, 0) < 0:
             return LPSolution(status="infeasible")
         tab.costs.pop()
     # Drive the helper and the artificials out; they are basic at zero,
     # so these pivots are degenerate whatever the sign of the entry.
     for r in rest:
         if basis[r] == helper or basis[r] in artificial:
-            target = next((j for j in structural if rows[r][j]), None)
+            target = next((j for j in structural if j in rows[r]), None)
             if target is not None:
                 tab.pivot(r, target)
                 basis[r] = target
@@ -270,7 +292,7 @@ def solve_lp_exact(lp: LPInstance) -> LPSolution:
     # A free variable that found no row has a zero column in every row
     # left to the simplex: if it still has a cost, it is a free ray.
     basic = set(basis)
-    if any(cost2[j] for j in range(n) if lp.free[j] and j not in basic):
+    if any(j in cost2 for j in range(n) if lp.free[j] and j not in basic):
         return LPSolution(status="unbounded")
     if run(cost2, structural) == "unbounded":
         return LPSolution(status="unbounded")
@@ -279,29 +301,30 @@ def solve_lp_exact(lp: LPInstance) -> LPSolution:
     x = [Fraction(0)] * n
     for r, j in enumerate(basis):
         if j < n:
-            x[j] = Fraction(rows[r][bcol], den)
+            x[j] = Fraction(rows[r].get(bcol, 0), den)
     objective = sum((cj * xj for cj, xj in zip(lp.objective, x)), Fraction(0))
     # The reduced cost of row i's unit column is minus its dual in the
     # scaled, oriented, minimizing form.
-    duals = tuple(Fraction(cost2[n + i] * orient[i], den * sigma) for i in range(m))
+    duals = tuple(Fraction(cost2.get(n + i, 0) * orient[i], den * sigma) for i in range(m))
 
     sol = LPSolution(status="optimal", x=tuple(x), duals=duals, objective=objective)
     _verify_certificate(lp, sol)
     return sol
 
 
-def _free_row(rows: list[list[int]], rest: list[int], j: int, equality: list[bool]) -> int | None:
+def _free_row(tab: _Tableau, rest: list[int], j: int, equality: list[bool]) -> int | None:
     """The row of ``rest`` where free column j enters: an inequality row
     before an equality, then the smallest |b_i / a_ij|, then the lowest
     index.  (Of the rules tried, this one left the fewest LP solves in
     the nucleolus schemes.)"""
+    rows, bcol = tab.rows, tab.bcol
     best = None
     for i in rest:
-        a = rows[i][j]
+        a = rows[i].get(j, 0)
         if a and (
             best is None
-            or (equality[i], abs(rows[i][-1] * rows[best][j]))
-            < (equality[best], abs(rows[best][-1] * a))
+            or (equality[i], abs(rows[i].get(bcol, 0) * rows[best][j]))
+            < (equality[best], abs(rows[best].get(bcol, 0) * a))
         ):
             best = i
     return best

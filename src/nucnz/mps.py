@@ -32,6 +32,7 @@ from .games import (
     GameOracle,
     _require_within_cap,
     as_value_game,
+    coalition_members,
     coalition_sum,
     coalition_vector,
     dot_table,
@@ -53,10 +54,10 @@ __all__ = [
 LsaSolver = Callable[[GameOracle, Sequence[Fraction], LinearSubspace], ExcessReport]
 ValueFn = Callable[[int], Fraction]
 
-# reference_nucleolus solves dense LPs over all 2^n coalitions.  On
-# random_monotone_game(n, 1) it took 0.41 / 2.2 / 21.5 s at n = 6 / 7 / 8
-# (Python 3.11, one core of a 2-core Intel Xeon), so 7 is the largest
-# size cheap enough for a validator.
+# reference_nucleolus solves LPs with a row for each of the 2^n
+# coalitions.  On random_monotone_game(n, 1) it took 0.11 / 0.35 / 2.2 s at
+# n = 6 / 7 / 8 (Python 3.11, one core of a shared 2-core Intel Xeon), so
+# each player past 7 multiplies a validator run by about six.
 REFERENCE_MAX_PLAYERS = 7
 
 
@@ -238,7 +239,10 @@ def mps_nucleolus(
         iteration += 1
         if iteration > n + 1:
             raise MpsError(f"no convergence within {n + 1} fixing iterations")
-        cuts = [m for m in cuts if not span.contains(coalition_vector(m, n))]
+        # Drop the cuts the span now holds: a cut stays when its folded
+        # kernel dot product is nonzero.
+        avoid = fold_kernel(integer_kernel_basis(span))
+        cuts = [m for m in cuts if sum(avoid[p] for p in coalition_members(m))]
         xi, y, duals = _solve_level(vg, value, fixed, span, oracle, cuts)
         last_y = y
         newly = []

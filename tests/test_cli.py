@@ -60,6 +60,16 @@ def test_solve_trace_file(capsys, tmp_path, unanimity_file):
     assert d["trace"]
 
 
+def test_solve_unwritable_trace_fails_with_json(capsys, tmp_path, unanimity_file):
+    trace = tmp_path / "no" / "such" / "dir" / "trace.json"
+    code, out, err = run(capsys, ["solve", unanimity_file, "--trace", str(trace)])
+    assert code == 1
+    assert out == ""
+    d = json.loads(err)
+    assert d["error"].startswith("cannot write trace file")
+    assert d["cause"]
+
+
 def test_least_core(capsys, unanimity_file):
     code, out, _ = run(capsys, ["least-core", unanimity_file])
     assert code == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_lp_max
-from nucnz.lp import LPError, LPInstance, _verify_certificate, solve_lp_exact
+from nucnz.lp import LPError, LPInstance, _Tableau, _verify_certificate, solve_lp_exact
 
 
 def test_single_upper_bound_with_dual():
@@ -341,3 +341,22 @@ def test_certificate_rejects_each_tampered_condition(message):
     bad = replace(sol, x=tuple(x), duals=tuple(duals), objective=sol.objective + shift)
     with pytest.raises(LPError, match=f"^{message}$"):
         _verify_certificate(CERT_LP, bad)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # the pivot row's support: 1*2 - 1*1 = 1 is not a multiple of 2
+        [{0: 1, 1: 1}, {0: 1, 1: 2}],
+        # outside the pivot row's support: 1*1 is not a multiple of 2
+        [{0: 1}, {0: 1, 1: 1}],
+        # a row without the pivot column, scaled by p = 3: 3*1 is not either
+        [{0: 3}, {1: 1}],
+    ],
+    ids=["combined", "scaled-off-support", "scaled-row"],
+)
+def test_pivot_with_a_wrong_denominator_raises(rows):
+    tab = _Tableau(rows, [{}], bcol=2)
+    tab.den = 2
+    with pytest.raises(LPError, match="integer pivot lost exactness"):
+        tab.pivot(0, 0)

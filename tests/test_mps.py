@@ -188,3 +188,44 @@ def test_result_json_shape():
     d = res.to_json_dict()
     assert d["allocation"] == ["1/3", "1/3", "1/3"]
     assert all(set(r) == {"xi", "fixed", "duals"} for r in d["trace"])
+
+
+def ref6_dense():
+    """random_monotone_game(5, 1) plus player 5, a dummy of value 3."""
+    five = random_monotone_game(5, 1).table()
+    return TableGame([five[m & 31] + (3 if m & 32 else 0) for m in range(64)])
+
+
+REF6_ALLOCATION = ["0", "22/3", "47/6", "133/6", "2/3", "3"]
+
+
+def test_ref6_traces_are_pinned():
+    # Recorded from the dense integer tableau; a change of pivot path that
+    # moves a fixed set or a dual must update these literals on purpose.
+    g = ref6_dense()
+    assert reference_nucleolus(g).to_json_dict() == {
+        "allocation": REF6_ALLOCATION,
+        "trace": [
+            {
+                "xi": "-95/6",
+                "fixed": [6, 7, 8, 9, 16, 17, 38, 39, 40, 41, 48, 49],
+                "duals": {"7": "1/3", "8": "1/3", "48": "1/3"},
+            },
+            {
+                "xi": "-19/2",
+                "fixed": [18, 19, 21, 50, 51, 53],
+                "duals": {"18": "1/2", "21": "1/2"},
+            },
+        ],
+    }
+    assert mps_nucleolus(g).to_json_dict() == {
+        "allocation": REF6_ALLOCATION,
+        "trace": [
+            {
+                "xi": "-95/6",
+                "fixed": [7, 8, 16, 38],
+                "duals": {"7": "1/6", "8": "1/6", "16": "1/3", "38": "1/6", "41": "1/6"},
+            },
+            {"xi": "-19/2", "fixed": [18], "duals": {"18": "1/2", "53": "1/2"}},
+        ],
+    }
