@@ -44,9 +44,10 @@ from typing import Iterable, Sequence
 from .exact_matching import exact_weight_perfect_matching, pf_weight_support
 from .games import ExcessReport, coalition_sum
 from .graphs import Graph
-from .linalg import LinearSubspace, integer_kernel_basis, rat_str
+from .linalg import LinearSubspace, integer_kernel_basis, integer_scaled, rat_str
 from .matching import (
     BMatchingGame,
+    Matching,
     PaddedGraph,
     complete_to_perfect,
     max_weight_matching,
@@ -399,21 +400,28 @@ def nz_matching_randomized(
 
 
 @lru_cache(maxsize=1)
-def _gadget_max_matching(inst: BMatchInstance) -> tuple[int, ...]:
-    """M̄ of the gadget instance.  The gadget's graph and weights do not
-    depend on the label vector, so the queries of one separation (one per
-    kernel vector, all on the same instance) share it."""
+def _gadget_max_matching(inst: BMatchInstance) -> Matching:
+    """M̄ of the gadget instance under its integer-scaled weights, with the
+    certificate that warm-starts every guess.  The gadget's graph and
+    weights do not depend on the label vector, so the queries of one
+    separation (one per kernel vector, all on the same instance) share it."""
     produced, _ = reduce_bmatch_to_nzmatching(inst, (1,) * inst.graph.n)
-    return max_weight_matching(produced.graph, produced.w)
+    return max_weight_matching(produced.graph, integer_scaled(produced.w)[0])
 
 
 def _forced_status_matching(
-    inst: NZMatchingInstance, mbar: tuple[int, ...], max_flips: int
+    inst: NZMatchingInstance, mbar: Matching, max_flips: int
 ) -> tuple[int, ...] | None:
     """Heaviest nonzero matching whose label-carrying edges differ from
     their status in the maximum-weight matching ``mbar`` on at most
-    ``max_flips`` edges; ties go to the smallest sorted edge tuple."""
-    g, w, a = inst.graph, inst.w, inst.a
+    ``max_flips`` edges; ties go to the smallest sorted edge tuple.
+
+    ``mbar`` is priced in the integer-scaled weights of ``inst``.  Each
+    guess deletes the forced edges' endpoints and every labelled edge, so
+    its blossom run starts from M̄'s primal-dual pair and only repairs the
+    vertices the deletions expose."""
+    g, a = inst.graph, inst.a
+    w = integer_scaled(inst.w)[0]
     if sum(a[e] for e in mbar) != 0:
         return mbar
     in_bar = set(mbar)
@@ -421,7 +429,7 @@ def _forced_status_matching(
     unlabelled = [e for e in range(g.m) if a[e] == 0]
     signed = {e: -a[e] if e in in_bar else a[e] for e in labelled}
     best: tuple[int, ...] | None = None
-    best_weight = Fraction(0)
+    best_weight = 0
     for k in range(1, max_flips + 1):
         for flips in combinations(labelled, k):
             if sum(signed[e] for e in flips) == 0:
@@ -435,10 +443,12 @@ def _forced_status_matching(
                 if g.edges[e][0] not in covered and g.edges[e][1] not in covered
             ]
             sub = max_weight_matching(
-                Graph(g.n, tuple(g.edges[e] for e in rest)), [w[e] for e in rest]
+                Graph(g.n, tuple(g.edges[e] for e in rest)),
+                [w[e] for e in rest],
+                start=mbar.certificate,
             )
             matching = tuple(sorted(forced + [rest[i] for i in sub]))
-            weight = sum((w[e] for e in matching), Fraction(0))
+            weight = sum(w[e] for e in matching)
             if best is None or (-weight, matching) < (-best_weight, best):
                 best, best_weight = matching, weight
     return best

@@ -1,13 +1,12 @@
 """Shortest non-zero cycle solvers on conservative multigraphs.
 
 Cycles are simple: distinct vertices of degree two each (parallel pairs
-form 2-cycles, a self-loop is a 1-cycle).  Two solvers are provided: a
-literal enumerator over edge subsets for the desk-scale referee, and a
-parity-join solver that guesses the non-zero edges of an optimum and
-completes them with a minimum-cost join in the zero-labeled subgraph.
-The latter is exact whenever the guess size covers some optimum; sweeping
-all subsets of non-zero edges makes it unconditionally exact, which stays
-tractable when few edges carry labels.
+form 2-cycles, a self-loop is a 1-cycle).  The solver guesses the
+non-zero edges of an optimum and completes them with a minimum-cost
+parity join in the zero-labeled subgraph.  It is exact whenever the guess
+size covers some optimum; sweeping all subsets of non-zero edges makes it
+unconditionally exact, which stays tractable when few edges carry labels.
+The test suite's edge-subset enumerator is its desk-scale referee.
 """
 
 from __future__ import annotations
@@ -25,12 +24,9 @@ __all__ = [
     "CycleReport",
     "decompose_into_cycles",
     "is_simple_cycle",
-    "shortest_nz_cycle_bruteforce",
     "shortest_nz_cycle_few_nonzero",
     "shortest_nz_cycle_exhaustive",
 ]
-
-BRUTE_CYCLE_EDGE_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -151,27 +147,6 @@ def decompose_into_cycles(g: Graph, edge_ids: Iterable[int]) -> list[tuple[int, 
                 pos[nxt] = len(walk_vs) - 1
             cur = nxt
     return out
-
-
-def shortest_nz_cycle_bruteforce(inst: NZCycleInstance) -> CycleReport | None:
-    """Reference solver: enumerate all edge subsets that form one cycle."""
-    g = inst.graph
-    if g.m > BRUTE_CYCLE_EDGE_CAP:
-        raise ValueError(f"{g.m} edges exceeds the enumeration cap {BRUTE_CYCLE_EDGE_CAP}")
-    best: tuple[Fraction, tuple[int, ...]] | None = None
-    for mask in range(1, 1 << g.m):
-        es = [e for e in range(g.m) if (mask >> e) & 1]
-        if not is_simple_cycle(g, es):
-            continue
-        if inst.label_of(es) == 0:
-            continue
-        c = inst.cost_of(es)
-        key = (c, tuple(es))
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return None
-    return CycleReport(best[1], best[0], inst.label_of(best[1]))
 
 
 def _candidate_cycles_for_guess(

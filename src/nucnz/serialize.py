@@ -9,12 +9,11 @@ strings "p/q" (or "p"); graphs are {"n": ..., "edges": [[u, v], ...]}.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .fixtures import PackingGame
 from .games import GameOracle, TableGame, coalition_of, make_allocation
 from .graphs import Graph
-from .linalg import LinearSubspace, parse_rat, rat_str
+from .linalg import LinearSubspace, parse_rat
 from .matching import BMatchingGame
 from .matroids import ArboricityGame, NetworkStrengthGame
 
@@ -22,9 +21,7 @@ __all__ = [
     "GameFileError",
     "LoadedGame",
     "load_game_dict",
-    "dump_table_game",
     "load_allocation_dict",
-    "dump_allocation",
     "load_subspace_dict",
     "graph_field",
     "rat_list_field",
@@ -134,25 +131,11 @@ def load_game_dict(d: dict) -> LoadedGame:
     return LoadedGame(game, [str(p) for p in players])
 
 
-def dump_table_game(game: GameOracle, players: Sequence[str] | None = None) -> dict:
-    n = game.player_count
-    names = list(players) if players else [f"p{i}" for i in range(n)]
-    return {
-        "kind": game.kind,
-        "players": names,
-        "game": {"type": "table", "values": [rat_str(v) for v in game.table()]},
-    }
-
-
 def load_allocation_dict(d: dict, n: int):
     _require(isinstance(d, dict) and "y" in d, 'allocation file needs a "y" list')
     y = d["y"]
     _require(isinstance(y, list) and len(y) == n, f"allocation must have {n} entries")
     return make_allocation(parse_rat(v) for v in y)
-
-
-def dump_allocation(y) -> dict:
-    return {"y": [rat_str(v) for v in y]}
 
 
 def load_subspace_dict(d: dict, n: int) -> LinearSubspace:

@@ -322,6 +322,40 @@ def brute_shortest_nz_cycle(graph, costs, a):
     return best
 
 
+BRUTE_CYCLE_EDGE_CAP = 16
+
+
+def shortest_nz_cycle_bruteforce(inst):
+    """Cheapest simple cycle with nonzero label of an NZCycleInstance, as a
+    CycleReport (ties to the smallest edge tuple), or None.  Enumerates
+    every edge subset, so it refuses more than BRUTE_CYCLE_EDGE_CAP edges."""
+    from nucnz.cycles import CycleReport
+
+    g = inst.graph
+    if g.m > BRUTE_CYCLE_EDGE_CAP:
+        raise ValueError(f"{g.m} edges exceeds the enumeration cap {BRUTE_CYCLE_EDGE_CAP}")
+    best = None
+    for mask in range(1, 1 << g.m):
+        if not is_single_cycle(g, mask):
+            continue
+        es = tuple(bits(mask))
+        label = sum(inst.a[e] for e in es)
+        if label == 0:
+            continue
+        key = (subset_sum(inst.costs, mask), es)
+        if best is None or key < best[0]:
+            best = (key, label)
+    if best is None:
+        return None
+    (cost, es), label = best
+    return CycleReport(es, cost, label)
+
+
+def dump_allocation(y):
+    """Allocation file payload: {"y": ["p/q", ...]}."""
+    return {"y": [str(F(v)) for v in y]}
+
+
 def has_negative_cycle(graph, costs):
     for mask in range(1, 1 << graph.m):
         if is_single_cycle(graph, mask) and subset_sum(costs, mask) < 0:

@@ -15,6 +15,7 @@ import networkx as nx
 from helpers import (
     brute_best_nz_basis,
     has_negative_cycle,
+    shortest_nz_cycle_bruteforce,
 )
 from nucnz.approx import exact_min_excess_oracle, lsa_approx
 from nucnz.bmatch import (
@@ -29,7 +30,6 @@ from nucnz.bmatch import (
 )
 from nucnz.cycles import (
     NZCycleInstance,
-    shortest_nz_cycle_bruteforce,
     shortest_nz_cycle_exhaustive,
 )
 from nucnz.fixtures import (

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_best_nz_matching, has_negative_cycle, subset_sum
+from helpers import (
+    brute_best_nz_matching,
+    has_negative_cycle,
+    shortest_nz_cycle_bruteforce,
+    subset_sum,
+)
 from nucnz.bmatch import (
     BMatchInstance,
     NZMatchingInstance,
@@ -21,7 +26,6 @@ from nucnz.bmatch import (
 from nucnz.cycles import (
     NZCycleInstance,
     decompose_into_cycles,
-    shortest_nz_cycle_bruteforce,
     shortest_nz_cycle_exhaustive,
     shortest_nz_cycle_few_nonzero,
 )

@@ -4,8 +4,8 @@ import pytest
 
 from nucnz.cli import _oracle_sep, main
 from nucnz.games import brute_lsa_min_excess
+from helpers import dump_allocation
 from nucnz.serialize import (
-    dump_allocation,
     load_allocation_dict,
     load_game_dict,
     load_subspace_dict,

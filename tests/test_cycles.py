@@ -3,12 +3,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import brute_shortest_nz_cycle, has_negative_cycle, is_single_cycle
+from helpers import (
+    brute_shortest_nz_cycle,
+    has_negative_cycle,
+    is_single_cycle,
+    shortest_nz_cycle_bruteforce,
+)
 from nucnz.cycles import (
     NZCycleInstance,
     decompose_into_cycles,
     is_simple_cycle,
-    shortest_nz_cycle_bruteforce,
     shortest_nz_cycle_exhaustive,
     shortest_nz_cycle_few_nonzero,
 )

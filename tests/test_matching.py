@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -14,11 +19,14 @@ from helpers import (
     odd_degree_set,
     subset_sum,
 )
+from nucnz import matching
 from nucnz.fixtures import random_graph
 from nucnz.graphs import Graph
 from nucnz.matching import (
     BMatchingGame,
+    MatchingCertificate,
     b_matching_value,
+    check_matching_certificate,
     complete_to_perfect,
     is_conservative,
     matching_is_valid,
@@ -214,17 +222,17 @@ def test_t_join_property_on_multigraphs(data):
     assert subset_sum(costs, got) == brute_min_t_join(g, costs, T)[0]
 
 
-def test_only_integer_weights_reach_networkx(monkeypatch):
+def test_only_integer_weights_reach_the_blossom_kernel(monkeypatch):
     """Half-integer weights, as the gadgets produce, reach the blossom
-    scaled to ints from every caller, never as Fraction or float."""
-    real = nx.max_weight_matching
+    kernel scaled to ints from every caller, never as Fraction or float."""
+    real = matching._primal_dual
     seen = []
 
-    def spy(G, *args, **kwargs):
-        seen.extend(type(d["weight"]) for _, _, d in G.edges(data=True))
-        return real(G, *args, **kwargs)
+    def spy(n, ends, weights, *args, **kwargs):
+        seen.extend(type(v) for v in weights)
+        return real(n, ends, weights, *args, **kwargs)
 
-    monkeypatch.setattr(nx, "max_weight_matching", spy)
+    monkeypatch.setattr(matching, "_primal_dual", spy)
     g = random_graph(7, 16, 5)
     half = [F(2 * e - 13, 2) for e in range(g.m)]
     padded = pad_to_perfect(g, half, [0] * g.m)
@@ -237,3 +245,143 @@ def test_only_integer_weights_reach_networkx(monkeypatch):
         seen.clear()
         call()
         assert seen and set(seen) == {int}, name
+
+
+def _networkx_weight(g, w, perfect):
+    """Optimum weight by networkx on the simple graph of heaviest parallels
+    (None when ``perfect`` and no perfect matching exists)."""
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    for e, (u, v) in enumerate(g.edges):
+        if u != v and (perfect or w[e] >= 0):
+            if not G.has_edge(u, v) or G[u][v]["weight"] < w[e]:
+                G.add_edge(u, v, weight=w[e])
+    mate = nx.max_weight_matching(G, maxcardinality=perfect)
+    if perfect and 2 * len(mate) != g.n:
+        return None
+    return sum((G[u][v]["weight"] for u, v in mate), F(0))
+
+
+def _brute_weight(g, w, perfect):
+    """Optimum weight by enumeration; perfect mode lifts every weight by
+    more than the total spread, so the heaviest matching is a largest one."""
+    if not perfect:
+        return brute_max_weight_matching(g, w)[0]
+    lift = 1 + sum(abs(v) for v in w)
+    best, mask = brute_max_weight_matching(g, [v + lift for v in w])
+    size = bin(mask).count("1")
+    return best - lift * size if 2 * size == g.n else None
+
+
+def _solve_checked(g, w, perfect, start=None):
+    chosen, cert = matching._blossom(g, w, perfect, start)
+    if chosen is not None:
+        assert matching_is_valid(g, chosen)
+        assert chosen.certificate == cert
+        check_matching_certificate(g, w, chosen, cert, perfect)
+    return (None if chosen is None else subset_sum(w, sum(1 << e for e in chosen))), cert
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_blossom_warm_and_cold_match_networkx_and_brute(data):
+    """Random multigraphs with loops, parallels, negative and half-integer
+    weights, in both modes, against networkx and (up to 16 edges) brute
+    force.  Each graph then loses random vertices and edges twice over;
+    every smaller graph is solved warm from the parent's certificate and
+    cold, and both must reach the optimum and pass the check."""
+    n = data.draw(st.integers(1, 10), label="n")
+    vertex = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=24), label="edges")
+    g = Graph.of(n, edges)
+    weight = st.builds(F, st.integers(-6, 9), st.sampled_from([1, 2]))
+    w = data.draw(st.lists(weight, min_size=g.m, max_size=g.m), label="w")
+    perfect = data.draw(st.booleans(), label="perfect")
+
+    def optimum(g, w):
+        want = _networkx_weight(g, w, perfect)
+        if g.m <= 16:
+            assert want == _brute_weight(g, w, perfect)
+        return want
+
+    got, cert = _solve_checked(g, w, perfect)
+    assert got == optimum(g, w)
+    for child in range(2):
+        gone = data.draw(st.sets(vertex, max_size=3), label=f"deleted vertices {child}")
+        kept = [
+            e for e in range(g.m)
+            if not set(g.edges[e]) & gone and data.draw(st.booleans(), label=f"keep {e}")
+        ]
+        sub = Graph(n, tuple(g.edges[e] for e in kept))
+        sw = [w[e] for e in kept]
+        warm, _ = _solve_checked(sub, sw, perfect, start=cert)
+        cold, _ = _solve_checked(sub, sw, perfect)
+        assert warm == cold == optimum(sub, sw)
+
+
+def test_warm_start_moves_exposure_onto_a_zero_dual():
+    """Path 0-2-1-3, optimum {02, 13}.  Deleting vertex 0 exposes vertex 2
+    with a positive dual; growing its tree drives the dual of vertex 3 to
+    zero first, so the repair flips 2-1-3 and leaves 3 exposed."""
+    g = Graph.of(4, [(0, 2), (3, 1), (1, 2)])
+    w = [F(4), F(3), F(6)]
+    _, cert = matching._blossom(g, w, False)
+    assert cert.mate == (2, 3, 0, 1) and cert.y == (1, 5, 7, 1)
+    sub = Graph.of(4, [(3, 1), (1, 2)])
+    warm, warm_cert = matching._blossom(sub, w[1:], False, cert)
+    assert warm == (1,) == matching._blossom(sub, w[1:], False)[0]
+    assert warm_cert.mate == (-1, 2, 1, -1) and warm_cert.y[3] == 0
+
+
+def test_checker_rejects_tampered_certificates():
+    """Each tampered pair breaks one optimality condition and must fail.
+    The path 0-1-2-3 has the optimum {01, 23}, proved by y = (0, 4, 2, 2)."""
+    path = Graph.of(4, [(0, 1), (1, 2), (2, 3)])
+    w = [F(2), F(3), F(2)]
+    good = MatchingCertificate(1, (1, 0, 3, 2), (0, 4, 2, 2), ())
+    check_matching_certificate(path, w, (0, 2), good, False)
+    bad = [
+        ((0, 2), replace(good, y=(1, 3, 2, 2))),  # edge 12 has negative slack
+        ((0, 2), replace(good, y=(0, 5, 2, 2))),  # matched 01 is not tight
+        ((0, 2), replace(good, y=(-1, 5, 1, 3))),  # negative vertex dual
+        ((0,), replace(good, mate=(1, 0, -1, -1))),  # exposed 2 and 3 keep y = 2
+        ((0,), good),  # matching differs from the certificate's
+        ((0, 1), good),  # not a matching
+    ]
+    # the triangle 012 is a blossom with z = 4 holding the matched edge 12
+    tri = Graph.of(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0)])
+    tw = [F(4), F(4), F(4), F(1), F(3), F(1)]
+    chosen, cert = matching._blossom(tri, tw, False)
+    check_matching_certificate(tri, tw, chosen, cert, False)
+    assert cert.blossoms and cert.blossoms[0][0] > 0
+    blossom = cert.blossoms[0]
+    inner = next(e for e in chosen if max(tri.edges[e]) <= 2)
+    mate = [-1 if v in tri.edges[inner] else m for v, m in enumerate(cert.mate)]
+    unfull = tuple(e for e in chosen if e != inner)
+    bad_tri = [
+        (unfull, replace(cert, mate=tuple(mate))),  # blossom with z > 0 not full
+        (chosen, replace(cert, blossoms=((blossom[0] + 1,) + blossom[1:],))),
+        (chosen, replace(cert, blossoms=((-1,) + blossom[1:],))),
+        (chosen, replace(cert, blossoms=((blossom[0], (0, 1), blossom[2][:2]),))),
+    ]
+    for g, weights, cases in ((path, w, bad), (tri, tw, bad_tri)):
+        for chosen, tampered in cases:
+            with pytest.raises(AssertionError):
+                check_matching_certificate(g, weights, chosen, tampered, False)
+    # perfect mode: a barrier must prove that no perfect matching exists
+    star = Graph.of(4, [(0, 1), (0, 2), (0, 3)])
+    sw = [F(1)] * 3
+    assert matching._blossom(star, sw, True)[0] is None
+    short = MatchingCertificate(1, (1, 0, -1, -1), (2, 0, 0, 0), (), (0,))
+    check_matching_certificate(star, sw, (0,), short, True)
+    for barrier in (None, (), (1,)):
+        with pytest.raises(AssertionError):
+            check_matching_certificate(star, sw, (0,), replace(short, barrier=barrier), True)
+
+
+def test_library_import_leaves_networkx_out():
+    """networkx is a test dependency only: the library never imports it."""
+    probe = "import sys, nucnz, nucnz.cli; sys.exit('networkx' in sys.modules)"
+    src = str(Path(matching.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
