@@ -165,17 +165,33 @@ class NodeEdgeGadgetMap:
 def reduce_bmatch_to_nzmatching(
     inst: BMatchInstance, a: Sequence[int]
 ) -> tuple[NZMatchingInstance, NodeEdgeGadgetMap]:
-    g = inst.graph
-    if len(a) != g.n:
+    """The gadget of ``inst`` with label a[v] on the center edge of vertex
+    v; every other edge carries label 0."""
+    if len(a) != inst.graph.n:
         raise ValueError("label vector length must equal the vertex count")
     if all(v == 0 for v in a):
         raise ValueError("some vertex must carry a nonzero label")
+    graph, weights, _, gm = _gadget(inst)
+    labels = [0] * graph.m
+    for v, e in enumerate(gm.center_edge):
+        labels[e] = int(a[v])
+    return NZMatchingInstance(graph, weights, tuple(labels)), gm
+
+
+@lru_cache(maxsize=1)
+def _gadget(
+    inst: BMatchInstance,
+) -> tuple[Graph, tuple[Fraction, ...], tuple[int, ...], NodeEdgeGadgetMap]:
+    """The label-free part of the node-edge gadget: its graph, its weights,
+    those weights scaled to integers, and the pull-back map.  None of it
+    depends on the label vector, so the queries of one separation (one per
+    kernel vector, all on the same instance) share it."""
+    g = inst.graph
     K = 2 * (
         sum(abs(v) for v in inst.w) + 2 * sum(abs(v) for v in inst.y)
     ) + 1
     edges: list[tuple[int, int]] = []
     weights: list[Fraction] = []
-    labels: list[int] = []
     center_edge = []
 
     def v1(v):
@@ -191,37 +207,32 @@ def reduce_bmatch_to_nzmatching(
         return 4 * v + 3
 
     for v in range(g.n):
-        half = (K + inst.y[v]) / 2
+        half = Fraction(K + inst.y[v], 2)
         edges.append((v1(v), vt1(v)))
         weights.append(half)
-        labels.append(0)
         edges.append((v2(v), vt2(v)))
         weights.append(half)
-        labels.append(0)
         center_edge.append(len(edges))
         edges.append((vt1(v), vt2(v)))
         weights.append(Fraction(K))
-        labels.append(int(a[v]))
     base = 4 * g.n
     for e in range(g.m):
         p, q = g.edges[e]
         pe, qe = base + 2 * e, base + 2 * e + 1
         edges.append((pe, qe))
         weights.append(Fraction(K))
-        labels.append(0)
-        half = (K + inst.w[e]) / 2
+        half = Fraction(K + inst.w[e], 2)
         slots = {0: v1, 1: v2}
         for x, xe in ((p, pe), (q, qe)):
             for i in range(inst.b[x]):
                 edges.append((slots[i](x), xe))
                 weights.append(half)
-                labels.append(0)
     out_graph = Graph(4 * g.n + 2 * g.m, tuple(edges))
     offset = Fraction(K) * (g.n + g.m) + sum(inst.y, Fraction(0))
     gm = NodeEdgeGadgetMap(
         g.n, g.m, Fraction(K), tuple(center_edge), offset
     )
-    return NZMatchingInstance(out_graph, tuple(weights), tuple(labels)), gm
+    return out_graph, tuple(weights), tuple(integer_scaled(weights)[0]), gm
 
 
 @dataclass(frozen=True)
@@ -402,26 +413,23 @@ def nz_matching_randomized(
 @lru_cache(maxsize=1)
 def _gadget_max_matching(inst: BMatchInstance) -> Matching:
     """M̄ of the gadget instance under its integer-scaled weights, with the
-    certificate that warm-starts every guess.  The gadget's graph and
-    weights do not depend on the label vector, so the queries of one
-    separation (one per kernel vector, all on the same instance) share it."""
-    produced, _ = reduce_bmatch_to_nzmatching(inst, (1,) * inst.graph.n)
-    return max_weight_matching(produced.graph, integer_scaled(produced.w)[0])
+    certificate that warm-starts every guess; shared like the gadget."""
+    graph, _, w, _ = _gadget(inst)
+    return max_weight_matching(graph, w)
 
 
 def _forced_status_matching(
-    inst: NZMatchingInstance, mbar: Matching, max_flips: int
+    inst: NZMatchingInstance, w: Sequence[int], mbar: Matching, max_flips: int
 ) -> tuple[int, ...] | None:
     """Heaviest nonzero matching whose label-carrying edges differ from
     their status in the maximum-weight matching ``mbar`` on at most
     ``max_flips`` edges; ties go to the smallest sorted edge tuple.
 
-    ``mbar`` is priced in the integer-scaled weights of ``inst``.  Each
-    guess deletes the forced edges' endpoints and every labelled edge, so
-    its blossom run starts from M̄'s primal-dual pair and only repairs the
-    vertices the deletions expose."""
+    ``w`` are the weights of ``inst`` scaled to integers, which also price
+    ``mbar``.  Each guess deletes the forced edges' endpoints and every
+    labelled edge, so its blossom run starts from M̄'s primal-dual pair and
+    only repairs the vertices the deletions expose."""
     g, a = inst.graph, inst.a
-    w = integer_scaled(inst.w)[0]
     if sum(a[e] for e in mbar) != 0:
         return mbar
     in_bar = set(mbar)
@@ -461,7 +469,9 @@ def bmatch_nz_min_excess(inst: BMatchInstance, a: Sequence[int]) -> ExcessReport
     comes from the gadget's weight identity."""
     produced, gm = reduce_bmatch_to_nzmatching(inst, a)
     cap2 = sum(1 for cap in inst.b if cap == 2)
-    matching = _forced_status_matching(produced, _gadget_max_matching(inst), cap2 + 2)
+    matching = _forced_status_matching(
+        produced, _gadget(inst)[2], _gadget_max_matching(inst), cap2 + 2
+    )
     if matching is None:
         raise RuntimeError("gadget instance lost its nonzero matchings")
     weight = sum((produced.w[e] for e in matching), Fraction(0))

@@ -2,18 +2,21 @@
 matching values, perfect-matching padding and minimum-cost T-joins.
 
 Matchings are edge-id sets over :class:`~nucnz.graphs.Graph`, so parallel
-edges stay distinguishable.  Every matching comes from ``_blossom``.  It
-collapses parallels and drops loops and negative edges, none of which can
-improve a maximum-weight matching, scales the rational weights to integers
-by the lcm of their denominators, and runs Edmonds' primal-dual blossom
-algorithm (``_primal_dual``, O(n³)) on integer arrays.  The run returns
-the matching with its optimal vertex and blossom duals, a
-:class:`MatchingCertificate` that :func:`check_matching_certificate`
-verifies on every call.  A certificate also warm-starts a later run on a
-subgraph with the same weights: deleting vertices and edges keeps the
-duals feasible, so the run only repairs the vertices the deletions expose
-(Ball and Derigs, Networks 13, 1983).  A cold run is the same run started
-from uniform duals and the empty matching.
+edges stay distinguishable.  Every matching comes from
+:func:`max_weight_matching`.  It collapses parallels and drops loops and
+negative edges, none of which can improve a maximum-weight matching,
+scales the rational weights to integers by the lcm of their denominators,
+and runs Edmonds' primal-dual blossom algorithm (``_primal_dual``, O(n³))
+on integer arrays.  The run returns the matching with its optimal vertex
+and blossom duals, a :class:`MatchingCertificate` that
+:func:`check_matching_certificate` verifies on every call.  A certificate
+also warm-starts a later run on a subgraph with the same weights: deleting
+vertices and edges keeps the duals feasible, so the run only repairs the
+vertices the deletions expose (Ball and Derigs, Networks 13, 1983).  A
+cold run is the same run started from uniform duals and the empty
+matching.  The minimum-cost perfect matchings that T-joins need are
+maximum-weight matchings too, under positive shifted weights on a union
+of cliques (see :func:`min_cost_t_join`).
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "MatchingCertificate",
     "check_matching_certificate",
     "max_weight_matching",
-    "max_weight_perfect_matching",
     "b_matching_value",
     "BMatchingGame",
     "PaddedGraph",
@@ -61,14 +63,13 @@ def _matching_weight(w: Sequence[Fraction], edge_ids: Iterable[int]) -> Fraction
     return sum((Fraction(w[e]) for e in edge_ids), Fraction(0))
 
 
-def _collapse_parallels(g: Graph, w: Sequence[Fraction], keep_negative: bool):
-    """Heaviest edge per vertex pair (lower id on ties); loops dropped."""
+def _collapse_parallels(g: Graph, w: Sequence[Fraction]):
+    """Heaviest edge per vertex pair (lower id on ties); loops and negative
+    edges dropped."""
     rep: dict[tuple[int, int], int] = {}
     for e in range(g.m):
         u, v = g.edges[e]
-        if u == v:
-            continue
-        if not keep_negative and w[e] < 0:
+        if u == v or w[e] < 0:
             continue
         key = (u, v) if u < v else (v, u)
         old = rep.get(key)
@@ -88,16 +89,13 @@ class MatchingCertificate:
     is ``blossoms[j] = (z, children, cycle)``: a child is a vertex (< n)
     or n + i for blossom i, the children run around the odd cycle from
     the one holding the base, and ``cycle[t]`` is the edge (x, x') from a
-    vertex of child t to one of child t + 1.  ``barrier`` is set only
-    when a perfect-mode run ends short of perfect: a Tutte-Berge set whose
-    odd components show that no larger matching exists.
+    vertex of child t to one of child t + 1.
     """
 
     scale: int
     mate: tuple[int, ...]
     y: tuple[int, ...]
     blossoms: tuple[tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]], ...]
-    barrier: tuple[int, ...] | None = None
 
 
 class Matching(tuple):
@@ -107,17 +105,17 @@ class Matching(tuple):
     certificate: MatchingCertificate
 
 
-def _primal_dual(n: int, ends: list, weights: list, perfect: bool, start=None):
+def _primal_dual(n: int, ends: list, weights: list, start=None):
     """Edmonds' primal-dual blossom algorithm over integer arrays.
 
     ``ends`` are distinct vertex pairs u != v and ``weights`` one int per
     pair.  ``start`` is None (cold) or ``(mate, y, blossoms)`` in the
     layout of :class:`MatchingCertificate`, priced in these weights and
     taken from a graph holding this one with the same weight on every
-    shared pair.  Returns ``(mate, y, blossoms, factor, barrier)``: the
-    duals price ``factor`` times the weights.
+    shared pair.  Returns ``(mate, y, blossoms, factor)``: the duals price
+    ``factor`` times the weights.
     """
-    run = _Kernel(n, ends, weights, perfect)
+    run = _Kernel(n, ends, weights)
     if start is None:
         # uniform duals make the heaviest edges tight: match them greedily
         top = max(0, max(weights, default=0))
@@ -152,11 +150,10 @@ class _Kernel:
     so the slack of an edge between two S-blossoms is even.
     """
 
-    def __init__(self, n, ends, weights, perfect):
+    def __init__(self, n, ends, weights):
         self.n = n
         self.ends = ends
         self.w2 = [2 * w for w in weights]
-        self.perfect = perfect
         adj = [[] for _ in range(n)]
         for k, (u, v) in enumerate(ends):
             adj[u].append((v, k))
@@ -172,7 +169,6 @@ class _Kernel:
         self.mate = [-1] * n
         self.unused = list(range(size - 1, n - 1, -1))
         self.factor = 1
-        self.barrier = None
 
     def leaves(self, b):
         n, childs = self.n, self.childs
@@ -277,7 +273,7 @@ class _Kernel:
                     own[u] = own[v] = k
         roots = {
             y[v] % 2 for v in range(n)
-            if adj[v] and own[v] < 0 and base[inb[v]] == v and (self.perfect or y[v] > 0)
+            if adj[v] and own[v] < 0 and base[inb[v]] == v and y[v] > 0
         }
         if len(roots) > 1:
             self.factor = 2
@@ -289,13 +285,13 @@ class _Kernel:
 
     def stage(self) -> bool:
         """Grow alternating trees from every exposed vertex that violates
-        complementary slackness (every exposed vertex in perfect mode) and
-        make one repair: an augmenting path, or, when an S vertex's dual
-        reaches zero, the even path that moves its tree's exposure onto it.
-        Returns False when nothing is left to repair or nothing can be."""
+        complementary slackness and make one repair: an augmenting path,
+        or, when an S vertex's dual reaches zero, the even path that moves
+        its tree's exposure onto it.  Returns False when nothing is left to
+        repair."""
         n, adj, ends, w2 = self.n, self.adj, self.ends, self.w2
         y, inb, base, mate = self.y, self.inb, self.base, self.mate
-        parent, childs, perfect = self.parent, self.childs, self.perfect
+        parent, childs = self.parent, self.childs
         size = len(parent)
         self.label = label = [0] * size
         self.ledge = ledge = [None] * size
@@ -306,13 +302,12 @@ class _Kernel:
         heap = []
         for v in range(n):
             b = inb[v]
-            if base[b] == v and mate[v] < 0 and adj[v] and (perfect or y[v] > 0):
+            if base[b] == v and mate[v] < 0 and adj[v] and y[v] > 0:
                 label[b] = 1
                 found = self.leaves(b)
                 svert.extend(found)
                 queue.extend(found)
         if not svert:
-            self.barrier = ()
             return False
         shift = 0
         while True:
@@ -336,17 +331,14 @@ class _Kernel:
                     if not slack and label[bw] == 0 and self.reach(v, w, k):
                         return True
 
-            delta, kind, arg = None, 0, None
-            if not perfect:
-                for v in svert:
-                    if delta is None or y[v] < delta:
-                        delta, kind, arg = y[v], 1, v
+            # the S duals bound every step, so delta is always set
+            delta, kind, arg = min(y[v] for v in svert), 1, None
             for w in range(n):
                 k = best[w]
                 if k >= 0 and label[inb[w]] == 0:
                     a, b = ends[k]
                     d = y[a] + y[b] - w2[k]
-                    if delta is None or d < delta:
+                    if d < delta:
                         delta, kind, arg = d, 2, k
             while heap:
                 key, k = heap[0]
@@ -357,16 +349,13 @@ class _Kernel:
                 d, odd = divmod(key - 2 * shift, 2)
                 if odd:
                     raise ArithmeticError("blossom: odd slack between S-blossoms")
-                if delta is None or d < delta:
+                if d < delta:
                     delta, kind, arg = d, 3, k
                 break
             z = self.z
             for b in tblossoms:
-                if parent[b] == -1 and label[b] == 2 and (delta is None or z[b] < delta):
+                if parent[b] == -1 and label[b] == 2 and z[b] < delta:
                     delta, kind, arg = z[b], 4, b
-            if kind == 0:
-                self.barrier = tuple(v for v in range(n) if label[inb[v]] == 2)
-                return False
             if delta < 0:
                 raise ValueError("blossom: the warm start is not dual feasible")
             if delta:
@@ -624,23 +613,20 @@ class _Kernel:
             )
             for b in ids
         )
-        short = self.perfect and any(k < 0 for k in self.mate)
-        return mate, tuple(self.y), blossoms, self.factor, self.barrier if short else None
+        return mate, tuple(self.y), blossoms, self.factor
 
 
 def check_matching_certificate(
-    g: Graph, w: Sequence, matching: Iterable[int], cert: MatchingCertificate, perfect: bool
+    g: Graph, w: Sequence, matching: Iterable[int], cert: MatchingCertificate
 ) -> None:
-    """Raise AssertionError unless ``cert`` proves ``matching`` optimal.
+    """Raise AssertionError unless ``cert`` proves ``matching`` of maximum
+    weight.
 
     The check shares no code with the blossom run.  On every loop-free
     edge of g, parallels included, the slack priced in ``cert.scale``
     times w is non-negative and zero on matched edges; every blossom is an
     odd vertex set with z >= 0, and one with z > 0 holds (|B| - 1)/2
-    matched edges.  A maximum-weight matching also needs y >= 0 and y = 0
-    on exposed vertices.  A perfect-mode matching needs no sign on y when
-    it is perfect; otherwise the barrier X must leave odd(G - X) - |X|
-    exposed vertices, the Tutte-Berge bound, so no perfect matching exists.
+    matched edges; y >= 0, and y = 0 on exposed vertices.
     """
     n, s = g.n, cert.scale
 
@@ -693,44 +679,25 @@ def check_matching_certificate(
     for j, vs in enumerate(members):
         if duals[j] > 0 and sum(mate[v] in vs for v in vs) != len(vs) - 1:
             fail("blossom with positive dual is not full")
-    exposed = sum(1 for v in range(n) if mate[v] < 0)
-    if not perfect:
-        if any(d < 0 for d in y) or any(y[v] for v in range(n) if mate[v] < 0):
-            fail("vertex dual negative or positive on an exposed vertex")
-    elif exposed:
-        if cert.barrier is None:
-            fail("imperfect matching without a barrier")
-        cut = set(cert.barrier)
-        comp = list(range(n))
-
-        def find(x):
-            while comp[x] != x:
-                comp[x] = comp[comp[x]]
-                x = comp[x]
-            return x
-
-        for u, v in g.edges:
-            if u not in cut and v not in cut:
-                comp[find(u)] = find(v)
-        sizes: dict[int, int] = {}
-        for v in range(n):
-            if v not in cut:
-                sizes[find(v)] = sizes.get(find(v), 0) + 1
-        if sum(c % 2 for c in sizes.values()) - len(cut) != exposed:
-            fail("barrier does not prove the matching maximum")
+    if any(d < 0 for d in y) or any(y[v] for v in range(n) if mate[v] < 0):
+        fail("vertex dual negative or positive on an exposed vertex")
 
 
-def _blossom(g: Graph, w: Sequence, perfect: bool, start: MatchingCertificate | None = None):
-    """Blossom run on the collapsed graph with integer-scaled weights.
+def max_weight_matching(
+    g: Graph, w: Sequence[Fraction], *, start: MatchingCertificate | None = None
+) -> Matching:
+    """Exact maximum-weight matching as a sorted tuple of edge ids, with
+    its checked certificate on ``.certificate``.
 
-    A perfect matching may use negative edges; a plain maximum-weight
-    matching never does.  ``start`` is the certificate of an earlier run
-    on a graph holding this one, with equal weights on shared edges; the
-    run repairs it instead of starting from the empty matching.  Returns
-    (sorted edge ids, or None when ``perfect`` and no perfect matching
-    exists; the checked certificate).
+    The empty matching (weight 0) always competes, so negative edges are
+    never used.  The blossom runs on the collapsed graph with
+    integer-scaled weights.  ``start`` warm-starts the run from the
+    certificate of a matching on a graph that holds this one, with the
+    same weights on the shared edges; the run repairs it instead of
+    starting from the empty matching, and the result does not depend on
+    it beyond ties.
     """
-    rep = _collapse_parallels(g, w, keep_negative=perfect)
+    rep = _collapse_parallels(g, w)
     weights, scale = integer_scaled([w[e] for e in rep.values()])
     begin = None
     if start is not None:
@@ -742,34 +709,12 @@ def _blossom(g: Graph, w: Sequence, perfect: bool, start: MatchingCertificate | 
             [up * v for v in start.y],
             [(up * zb, ch, cyc) for zb, ch, cyc in start.blossoms],
         )
-    mate, y, blossoms, factor, barrier = _primal_dual(g.n, list(rep), weights, perfect, begin)
-    cert = MatchingCertificate(scale * factor, mate, y, blossoms, barrier)
+    mate, y, blossoms, factor = _primal_dual(g.n, list(rep), weights, begin)
+    cert = MatchingCertificate(scale * factor, mate, y, blossoms)
     chosen = Matching(sorted(rep[(u, v)] for u, v in enumerate(mate) if u < v))
-    check_matching_certificate(g, w, chosen, cert, perfect)
+    check_matching_certificate(g, w, chosen, cert)
     chosen.certificate = cert
-    if perfect and 2 * len(chosen) != g.n:
-        return None, cert
-    return chosen, cert
-
-
-def max_weight_matching(
-    g: Graph, w: Sequence[Fraction], *, start: MatchingCertificate | None = None
-) -> Matching:
-    """Exact maximum-weight matching as a sorted tuple of edge ids.
-
-    The empty matching (weight 0) always competes, so negative edges are
-    never used.  ``start`` warm-starts the run from the certificate of a
-    matching on a graph that holds this one, with the same weights on the
-    shared edges; the result does not depend on it beyond ties.
-    """
-    return _blossom(g, w, False, start)[0]
-
-
-def max_weight_perfect_matching(g: Graph, w: Sequence[Fraction]) -> Matching | None:
-    """Maximum-weight perfect matching, or None if no perfect matching."""
-    if g.n % 2:
-        return None
-    return _blossom(g, w, True)[0]
+    return chosen
 
 
 def b_matching_value(
@@ -947,8 +892,8 @@ def min_cost_t_join(g: Graph, costs: Sequence[Fraction], T: Iterable[int]) -> tu
 
     Negative edges are flipped into the target parity, the non-negative
     instance is solved by shortest-path metric completion plus a
-    minimum-weight perfect matching, and the flip is undone by symmetric
-    difference.  Raises ValueError when no T-join exists.
+    minimum-cost perfect matching of the closure, and the flip is undone by
+    symmetric difference.  Raises ValueError when no T-join exists.
     """
     T = sorted(set(T))
     if len(T) % 2:
@@ -972,8 +917,9 @@ def min_cost_t_join(g: Graph, costs: Sequence[Fraction], T: Iterable[int]) -> tu
         # integer-scaled absolute costs; one adjacency, cheapest parallel
         # edge per pair, serves every shortest-path source
         dist_w = [abs(c) for c in integer_scaled(cf)[0]]
+        far = max(dist_w)
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
-        for (u, v), e in _collapse_parallels(g, [-d for d in dist_w], True).items():
+        for (u, v), e in _collapse_parallels(g, [far - d for d in dist_w]).items():
             adj[u].append((v, dist_w[e], e))
             adj[v].append((u, dist_w[e], e))
         # the closure edge (i, j), i < j, reads the tree of tp[i] only
@@ -985,15 +931,15 @@ def min_cost_t_join(g: Graph, costs: Sequence[Fraction], T: Iterable[int]) -> tu
             if paths[i][0][tp[j]] is not None
         ]
         # minimum-cost perfect matching of the metric closure on T', as a
-        # maximum-weight one under top - d: the shift adds the same amount
-        # to every perfect matching, and the blossom converges faster on
-        # positive weights than on negated distances
+        # maximum-weight matching under top - d.  Every closure weight is
+        # positive and any two targets of one component share a closure
+        # edge, so a heaviest matching leaves no two of them exposed: it is
+        # perfect, as each component holds an even number of targets.  The
+        # shift adds the same amount to every perfect matching.
         closure = [paths[i][0][tp[j]] for i, j in pairs]
         top = max(closure, default=0) + 1
-        mate = max_weight_perfect_matching(
-            Graph(len(tp), tuple(pairs)), [top - d for d in closure]
-        )
-        if mate is None:
+        mate = max_weight_matching(Graph(len(tp), tuple(pairs)), [top - d for d in closure])
+        if 2 * len(mate) != len(tp):
             raise ValueError("no T-join exists: targets not pairable")
         for i, j in (pairs[k] for k in mate):
             # walk the shortest path back from tp[j] to tp[i]

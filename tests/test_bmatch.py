@@ -65,6 +65,10 @@ def test_node_edge_gadget_counts():
     assert gm.K == 2 * (3 + 2 * 3) + 1
     # only center edges carry labels
     assert [e for e in range(produced.graph.m) if produced.a[e] != 0] == [gm.center_edge[0]]
+    # plain int data yields the same weights, as exact Fractions
+    ints = BMatchInstance(g, (3,), (1, 1), (1, 2))
+    same = reduce_bmatch_to_nzmatching(ints, [1, 0])[0].w
+    assert same == produced.w and all(type(v) is F for v in same)
 
 
 def test_gadget_weight_identity():

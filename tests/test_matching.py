@@ -31,7 +31,6 @@ from nucnz.matching import (
     is_conservative,
     matching_is_valid,
     max_weight_matching,
-    max_weight_perfect_matching,
     min_cost_t_join,
     pad_to_perfect,
     t_join_exists,
@@ -143,8 +142,8 @@ def test_pad_preserves_matching_spectrum():
         w = [F(rng.randint(-5, 7)) for _ in range(g.m)]
         p = pad_to_perfect(g, w, [0] * g.m)
         before, _ = brute_max_weight_matching(g, w)
-        after = max_weight_perfect_matching(p.graph, p.w)
-        assert after is not None
+        after = complete_to_perfect(p, max_weight_matching(p.graph, p.w))
+        assert matching_is_valid(p.graph, after) and 2 * len(after) == p.graph.n
         assert subset_sum(p.w, sum(1 << e for e in after)) == before
 
 
@@ -200,19 +199,30 @@ def test_conservativeness_check_matches_enumeration():
         assert is_conservative(g, costs) == (not has_negative_cycle(g, costs))
 
 
+@settings(max_examples=250)
 @given(data=st.data())
 def test_t_join_property_on_multigraphs(data):
     """Parallel edges of different cost, loops, zero and negative costs:
     the shared shortest-path adjacency keeps the cheapest parallel edge and
-    the walk back along its tree still yields a cheapest join of parity T."""
-    n = data.draw(st.integers(2, 5), label="n")
+    the walk back along its tree still yields a cheapest join of parity T.
+    Up to 8 vertices, paired off by a drawn matching plus a few more edges,
+    make several components.  T is the odd set of the pairing with some
+    edges toggled, so up to 8 targets on which the closure's heaviest
+    matching must come out perfect, plus a few drawn vertices that may
+    leave no T-join."""
+    n = data.draw(st.integers(2, 8), label="n")
     vertex = st.integers(0, n - 1)
     cost = st.builds(F, st.integers(-4, 5), st.sampled_from([1, 2]))
-    edges = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=7), label="edges")
+    order = data.draw(st.permutations(range(n)), label="pairing")
+    pairing = list(zip(order[0::2], order[1::2]))
+    edges = pairing + data.draw(st.lists(st.tuples(vertex, vertex), max_size=4), label="edges")
     copies = data.draw(st.lists(st.sampled_from(edges), max_size=3), label="parallel copies")
     g = Graph.of(n, edges + copies)
     costs = data.draw(st.lists(cost, min_size=g.m, max_size=g.m), label="costs")
-    T = sorted(data.draw(st.sets(vertex), label="T"))
+    toggled = data.draw(st.sets(st.integers(0, g.m - 1)), label="toggled edges")
+    join = sum(1 << e for e in range(g.m) if (e < len(pairing)) != (e in toggled))
+    extra = data.draw(st.sets(vertex, max_size=3), label="extra targets")
+    T = sorted(odd_degree_set(g, join) ^ extra)
     if len(T) % 2 or not t_join_exists(g, T):
         with pytest.raises(ValueError):
             min_cost_t_join(g, costs, T)
@@ -235,10 +245,8 @@ def test_only_integer_weights_reach_the_blossom_kernel(monkeypatch):
     monkeypatch.setattr(matching, "_primal_dual", spy)
     g = random_graph(7, 16, 5)
     half = [F(2 * e - 13, 2) for e in range(g.m)]
-    padded = pad_to_perfect(g, half, [0] * g.m)
     callers = {
         "max_weight_matching": lambda: max_weight_matching(g, half),
-        "max_weight_perfect_matching": lambda: max_weight_perfect_matching(padded.graph, padded.w),
         "min_cost_t_join": lambda: min_cost_t_join(g, half, [0, 1, 2, 3]),
     }
     for name, call in callers.items():
@@ -247,64 +255,48 @@ def test_only_integer_weights_reach_the_blossom_kernel(monkeypatch):
         assert seen and set(seen) == {int}, name
 
 
-def _networkx_weight(g, w, perfect):
-    """Optimum weight by networkx on the simple graph of heaviest parallels
-    (None when ``perfect`` and no perfect matching exists)."""
+def _networkx_weight(g, w):
+    """Optimum weight by networkx on the simple graph of heaviest parallels."""
     G = nx.Graph()
     G.add_nodes_from(range(g.n))
     for e, (u, v) in enumerate(g.edges):
-        if u != v and (perfect or w[e] >= 0):
+        if u != v and w[e] >= 0:
             if not G.has_edge(u, v) or G[u][v]["weight"] < w[e]:
                 G.add_edge(u, v, weight=w[e])
-    mate = nx.max_weight_matching(G, maxcardinality=perfect)
-    if perfect and 2 * len(mate) != g.n:
-        return None
+    mate = nx.max_weight_matching(G)
     return sum((G[u][v]["weight"] for u, v in mate), F(0))
 
 
-def _brute_weight(g, w, perfect):
-    """Optimum weight by enumeration; perfect mode lifts every weight by
-    more than the total spread, so the heaviest matching is a largest one."""
-    if not perfect:
-        return brute_max_weight_matching(g, w)[0]
-    lift = 1 + sum(abs(v) for v in w)
-    best, mask = brute_max_weight_matching(g, [v + lift for v in w])
-    size = bin(mask).count("1")
-    return best - lift * size if 2 * size == g.n else None
-
-
-def _solve_checked(g, w, perfect, start=None):
-    chosen, cert = matching._blossom(g, w, perfect, start)
-    if chosen is not None:
-        assert matching_is_valid(g, chosen)
-        assert chosen.certificate == cert
-        check_matching_certificate(g, w, chosen, cert, perfect)
-    return (None if chosen is None else subset_sum(w, sum(1 << e for e in chosen))), cert
+def _solve_checked(g, w, start=None):
+    chosen = max_weight_matching(g, w, start=start)
+    cert = chosen.certificate
+    assert matching_is_valid(g, chosen)
+    check_matching_certificate(g, w, chosen, cert)
+    return subset_sum(w, sum(1 << e for e in chosen)), cert
 
 
 @settings(max_examples=200)
 @given(data=st.data())
 def test_blossom_warm_and_cold_match_networkx_and_brute(data):
     """Random multigraphs with loops, parallels, negative and half-integer
-    weights, in both modes, against networkx and (up to 16 edges) brute
-    force.  Each graph then loses random vertices and edges twice over;
-    every smaller graph is solved warm from the parent's certificate and
-    cold, and both must reach the optimum and pass the check."""
+    weights, against networkx and (up to 16 edges) brute force.  Each
+    graph then loses random vertices and edges twice over; every smaller
+    graph is solved warm from the parent's certificate and cold, and both
+    must reach the optimum and pass the check."""
     n = data.draw(st.integers(1, 10), label="n")
     vertex = st.integers(0, n - 1)
     edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=24), label="edges")
     g = Graph.of(n, edges)
     weight = st.builds(F, st.integers(-6, 9), st.sampled_from([1, 2]))
     w = data.draw(st.lists(weight, min_size=g.m, max_size=g.m), label="w")
-    perfect = data.draw(st.booleans(), label="perfect")
 
     def optimum(g, w):
-        want = _networkx_weight(g, w, perfect)
+        want = _networkx_weight(g, w)
         if g.m <= 16:
-            assert want == _brute_weight(g, w, perfect)
+            assert want == brute_max_weight_matching(g, w)[0]
         return want
 
-    got, cert = _solve_checked(g, w, perfect)
+    got, cert = _solve_checked(g, w)
     assert got == optimum(g, w)
     for child in range(2):
         gone = data.draw(st.sets(vertex, max_size=3), label=f"deleted vertices {child}")
@@ -314,8 +306,8 @@ def test_blossom_warm_and_cold_match_networkx_and_brute(data):
         ]
         sub = Graph(n, tuple(g.edges[e] for e in kept))
         sw = [w[e] for e in kept]
-        warm, _ = _solve_checked(sub, sw, perfect, start=cert)
-        cold, _ = _solve_checked(sub, sw, perfect)
+        warm, _ = _solve_checked(sub, sw, start=cert)
+        cold, _ = _solve_checked(sub, sw)
         assert warm == cold == optimum(sub, sw)
 
 
@@ -325,11 +317,12 @@ def test_warm_start_moves_exposure_onto_a_zero_dual():
     zero first, so the repair flips 2-1-3 and leaves 3 exposed."""
     g = Graph.of(4, [(0, 2), (3, 1), (1, 2)])
     w = [F(4), F(3), F(6)]
-    _, cert = matching._blossom(g, w, False)
+    cert = max_weight_matching(g, w).certificate
     assert cert.mate == (2, 3, 0, 1) and cert.y == (1, 5, 7, 1)
     sub = Graph.of(4, [(3, 1), (1, 2)])
-    warm, warm_cert = matching._blossom(sub, w[1:], False, cert)
-    assert warm == (1,) == matching._blossom(sub, w[1:], False)[0]
+    warm = max_weight_matching(sub, w[1:], start=cert)
+    warm_cert = warm.certificate
+    assert warm == (1,) == max_weight_matching(sub, w[1:])
     assert warm_cert.mate == (-1, 2, 1, -1) and warm_cert.y[3] == 0
 
 
@@ -339,7 +332,7 @@ def test_checker_rejects_tampered_certificates():
     path = Graph.of(4, [(0, 1), (1, 2), (2, 3)])
     w = [F(2), F(3), F(2)]
     good = MatchingCertificate(1, (1, 0, 3, 2), (0, 4, 2, 2), ())
-    check_matching_certificate(path, w, (0, 2), good, False)
+    check_matching_certificate(path, w, (0, 2), good)
     bad = [
         ((0, 2), replace(good, y=(1, 3, 2, 2))),  # edge 12 has negative slack
         ((0, 2), replace(good, y=(0, 5, 2, 2))),  # matched 01 is not tight
@@ -351,8 +344,9 @@ def test_checker_rejects_tampered_certificates():
     # the triangle 012 is a blossom with z = 4 holding the matched edge 12
     tri = Graph.of(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0)])
     tw = [F(4), F(4), F(4), F(1), F(3), F(1)]
-    chosen, cert = matching._blossom(tri, tw, False)
-    check_matching_certificate(tri, tw, chosen, cert, False)
+    chosen = max_weight_matching(tri, tw)
+    cert = chosen.certificate
+    check_matching_certificate(tri, tw, chosen, cert)
     assert cert.blossoms and cert.blossoms[0][0] > 0
     blossom = cert.blossoms[0]
     inner = next(e for e in chosen if max(tri.edges[e]) <= 2)
@@ -367,16 +361,7 @@ def test_checker_rejects_tampered_certificates():
     for g, weights, cases in ((path, w, bad), (tri, tw, bad_tri)):
         for chosen, tampered in cases:
             with pytest.raises(AssertionError):
-                check_matching_certificate(g, weights, chosen, tampered, False)
-    # perfect mode: a barrier must prove that no perfect matching exists
-    star = Graph.of(4, [(0, 1), (0, 2), (0, 3)])
-    sw = [F(1)] * 3
-    assert matching._blossom(star, sw, True)[0] is None
-    short = MatchingCertificate(1, (1, 0, -1, -1), (2, 0, 0, 0), (), (0,))
-    check_matching_certificate(star, sw, (0,), short, True)
-    for barrier in (None, (), (1,)):
-        with pytest.raises(AssertionError):
-            check_matching_certificate(star, sw, (0,), replace(short, barrier=barrier), True)
+                check_matching_certificate(g, weights, chosen, tampered)
 
 
 def test_library_import_leaves_networkx_out():
