@@ -2,9 +2,11 @@
 
 Players are the edges of a graph.  The cost of a coalition is the least
 number of forests covering it; the value of a coalition is the most
-disjoint spanning trees it contains.  Both constrained-excess solvers
-run on k-fold union matroids, one exchange from the greedy optimum, and
-the whole nucleolus is computed through them in oracle mode.
+disjoint spanning trees it contains.  The cover number is one
+matroid-partition pass into forests, and so is each tree-packing test.
+Both constrained-excess solvers run on k-fold union matroids (k = 1 is
+the graphic matroid), one exchange from the greedy optimum, and the
+whole nucleolus is computed through them in oracle mode.
 """
 
 from fractions import Fraction as F
@@ -20,7 +22,7 @@ from nucnz.matroids import (
     network_strength_lsa_solver,
     network_strength_value,
     nz_max_weight_basis,
-    graphic_matroid,
+    union_k_matroid,
 )
 from nucnz.mps import mps_nucleolus, reference_nucleolus
 
@@ -31,7 +33,7 @@ print("  disjoint spanning trees in all edges:", network_strength_value(K4, 0b11
 
 # --- A non-zero basis query on the triangle. ------------------------------
 tri = Graph.of(3, [(0, 1), (1, 2), (2, 0)])
-m = graphic_matroid(tri)
+m = union_k_matroid(tri, 1)  # k = 1: the graphic matroid
 res = nz_max_weight_basis(m, [F(3), F(2), F(1)], [1, -1, 0])
 print("\ntriangle, weights (3,2,1), labels (1,-1,0):")
 print("  greedy spanning tree {0,1} cancels; best label-carrying swap:")

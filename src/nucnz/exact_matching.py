@@ -57,7 +57,7 @@ def pfaffian_mod(a: list[list[int]]) -> int:
             sign = -sign
         pv = a[i][i + 1] % p
         result = result * pv % p
-        inv = pow(pv, p - 2, p)
+        inv = pow(pv, -1, p)
         for j in range(i + 2, n):
             f = a[i][j] * inv % p
             if f:
@@ -87,7 +87,7 @@ def _ntt(values: list[int], invert: bool) -> list[int]:
     while length <= n:
         root = pow(_GENERATOR, (p - 1) // length, p)
         if invert:
-            root = pow(root, p - 2, p)
+            root = pow(root, -1, p)
         for start in range(0, n, length):
             wcur = 1
             half = length >> 1
@@ -99,7 +99,7 @@ def _ntt(values: list[int], invert: bool) -> list[int]:
                 wcur = wcur * root % p
         length <<= 1
     if invert:
-        inv_n = pow(n, p - 2, p)
+        inv_n = pow(n, -1, p)
         a = [x * inv_n % p for x in a]
     return a
 

@@ -1,8 +1,10 @@
 """Independence-oracle matroids and non-zero-constrained greedy solvers.
 
 Ground sets are edge-id ranges of a graph; subsets are bit masks.  The
-matroids are the graphic matroid and its k-fold union (edge sets
-partitionable into k forests, decided by augmenting paths).  Every
+matroids are the k-fold unions of the graphic matroid (edge sets
+partitionable into k forests, decided by augmenting paths); k = 1 is the
+graphic matroid itself.  Forest-cover numbers and spanning tests come
+from one such partition pass each.  Every
 non-zero query -- best basis, best independent set, cheapest spanning
 set -- is one exchange from the greedy optimum: if the greedy set's label
 sum vanishes, some best set with a nonzero label is a single drop, add or
@@ -25,7 +27,6 @@ from .linalg import LinearSubspace, fold_kernel, integer_kernel_basis
 __all__ = [
     "MatroidOracle",
     "NZBasisResult",
-    "graphic_matroid",
     "union_k_matroid",
     "max_weight_basis",
     "nz_max_weight_basis",
@@ -53,38 +54,8 @@ class MatroidOracle:
 
     def rank(self, mask: int = -1) -> int:
         """Greedy rank of a subset (default: the whole ground set)."""
-        if mask < 0:
-            mask = (1 << self.ground_size) - 1
-        cur = 0
-        r = 0
-        for e in range(self.ground_size):
-            bit = 1 << e
-            if mask & bit and self.is_independent(cur | bit):
-                cur |= bit
-                r += 1
-        return r
-
-
-def graphic_matroid(g: Graph) -> MatroidOracle:
-    def indep(mask: int) -> bool:
-        parent = list(range(g.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in range(g.m):
-            if mask & (1 << e):
-                u, v = g.edges[e]
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    return False
-                parent[ru] = rv
-        return True
-
-    return MatroidOracle(g.m, indep)
+        members = [e for e in range(self.ground_size) if mask >> e & 1]
+        return _greedy(0, members, self.is_independent).bit_count()
 
 
 def _forest_path(g: Graph, forest: set[int], u: int, v: int) -> list[int] | None:
@@ -287,27 +258,48 @@ def _nz_max_weight_spanning_set(
 
 
 def arboricity_value(g: Graph, mask: int) -> int:
-    """Least number of forests covering the edge subset (0 for empty)."""
-    if mask == 0:
-        return 0
+    """Least number of forests covering the edge subset (0 for empty).
+
+    One matroid-partition pass: the edges go in index order into a growing
+    list of forests, and an edge that no augmenting path places opens a new
+    forest.  ``_augment`` is exact and leaves the partition unchanged when
+    it fails, so the set so far needs one forest more than it had.
+    """
+    forests: list[set[int]] = []
+    colors: dict[int, int] = {}
     for e in range(g.m):
-        if mask & (1 << e):
+        if mask >> e & 1:
             u, v = g.edges[e]
             if u == v:
                 raise ValueError("self-loops cannot be covered by forests")
-    for k in range(1, bin(mask).count("1") + 1):
-        if union_k_matroid(g, k).is_independent(mask):
-            return k
-    raise AssertionError("unreachable: every loop-free set splits into |S| forests")
+            if not _augment(g, forests, colors, e):
+                colors[e] = len(forests)
+                forests.append({e})
+    return len(forests)
 
 
 def _packs_trees(g: Graph, k: int) -> Callable[[int], bool]:
     """Whether an edge set holds k disjoint spanning trees, i.e. spans the
-    k-fold union matroid (rank k(n-1)); every set holds zero."""
-    if k == 0:
-        return lambda mask: True
-    union, r = union_k_matroid(g, k), k * (g.n - 1)
-    return lambda mask: union.rank(mask) == r
+    k-fold union matroid (rank k(n-1)); every set holds zero.
+
+    One partition pass into k forests: the placed edges form a maximal
+    independent subset, so their count is the rank.  The pass stops once
+    it reaches k(n-1), the rank of the whole matroid (at once for k = 0).
+    """
+    r = k * (g.n - 1)
+
+    def spans(mask: int) -> bool:
+        forests: list[set[int]] = [set() for _ in range(k)]
+        colors: dict[int, int] = {}
+        placed = 0
+        for e in range(g.m):
+            if placed == r:
+                break
+            if mask >> e & 1:
+                placed += _augment(g, forests, colors, e)
+        return placed == r
+
+    return spans
 
 
 def network_strength_value(g: Graph, mask: int) -> int:

@@ -60,10 +60,10 @@ from nucnz.matroids import (
     NetworkStrengthGame,
     arboricity_lsa_solver,
     arboricity_nz_min_excess,
-    graphic_matroid,
     network_strength_lsa_solver,
     network_strength_nz_min_excess,
     nz_max_weight_basis,
+    union_k_matroid,
 )
 from nucnz.mps import mps_nucleolus, reference_nucleolus
 from nucnz.nz import LSAInstance, lsa_to_nz
@@ -396,7 +396,7 @@ def test_criterion_8_matroid_solvers():
     while basis_checked < 500:
         trial += 1
         g = random_graph(rng.randint(2, 5), rng.randint(1, 8), 90_000 + trial)
-        m = graphic_matroid(g)
+        m = union_k_matroid(g, 1)
         w = [F(rng.randint(-5, 5)) for _ in range(g.m)]
         a = [rng.randint(-3, 3) for _ in range(g.m)]
         got = nz_max_weight_basis(m, w, a)

@@ -28,10 +28,10 @@ from nucnz.matroids import (
     ArboricityGame,
     NetworkStrengthGame,
     _nz_max_weight_spanning_set,
+    _packs_trees,
     arboricity_lsa_solver,
     arboricity_nz_min_excess,
     arboricity_value,
-    graphic_matroid,
     max_weight_basis,
     network_strength_lsa_solver,
     network_strength_nz_min_excess,
@@ -46,11 +46,11 @@ K4 = Graph.of(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
 def test_graphic_independence():
-    m = graphic_matroid(TRIANGLE)
+    m = union_k_matroid(TRIANGLE, 1)
     assert m.is_independent(0b011)
     assert not m.is_independent(0b111)
     loop = Graph.of(2, [(0, 0), (0, 1)])
-    ml = graphic_matroid(loop)
+    ml = union_k_matroid(loop, 1)
     assert not ml.is_independent(0b01)
     assert ml.is_independent(0b10)
 
@@ -65,7 +65,7 @@ def test_axioms_on_random_constructions():
     rng = random.Random(5)
     for trial in range(25):
         g = random_graph(rng.randint(2, 4), rng.randint(1, 6), 100 + trial)
-        gm = graphic_matroid(g)
+        gm = union_k_matroid(g, 1)
         assert check_matroid_axioms(gm)
         k = rng.randint(1, 3)
         um = union_k_matroid(g, k)
@@ -109,31 +109,31 @@ def _partitionable(g, mask, k):
 
 
 def test_greedy_basis_triangle():
-    m = graphic_matroid(TRIANGLE)
+    m = union_k_matroid(TRIANGLE, 1)
     assert max_weight_basis(m, [3, 2, 1]) == 0b011
     assert max_weight_basis(m, [1, 1, 1]) == 0b011
 
 
 def test_nz_basis_triangle_swap():
-    m = graphic_matroid(TRIANGLE)
+    m = union_k_matroid(TRIANGLE, 1)
     res = nz_max_weight_basis(m, [3, 2, 1], [1, -1, 0])
     assert res is not None
     assert res.subset == 0b101 and res.weight == 4 and res.a_value == 1
 
 
 def test_nz_basis_none_when_labels_vanish():
-    m = graphic_matroid(TRIANGLE)
+    m = union_k_matroid(TRIANGLE, 1)
     assert nz_max_weight_basis(m, [3, 2, 1], [0, 0, 0]) is None
 
 
 def test_nz_basis_direct_when_greedy_nonzero():
-    m = graphic_matroid(TRIANGLE)
+    m = union_k_matroid(TRIANGLE, 1)
     res = nz_max_weight_basis(m, [3, 2, 1], [1, 1, 0])
     assert res.subset == 0b011 and res.a_value == 2
 
 
 def test_nz_independent_set_forced_negative_singleton():
-    m = graphic_matroid(Graph.of(2, [(0, 1)]))
+    m = union_k_matroid(Graph.of(2, [(0, 1)]), 1)
     res = nz_max_weight_independent_set(m, [F(-5)], [1])
     assert res is not None and res.subset == 1 and res.weight == -5
 
@@ -142,7 +142,7 @@ def test_nz_basis_matches_brute_on_random_graphic():
     rng = random.Random(31)
     for trial in range(120):
         g = random_graph(rng.randint(2, 5), rng.randint(1, 8), 300 + trial)
-        m = graphic_matroid(g)
+        m = union_k_matroid(g, 1)
         w = [F(rng.randint(-5, 5)) for _ in range(g.m)]
         a = [rng.randint(-3, 3) for _ in range(g.m)]
         got = nz_max_weight_basis(m, w, a)
@@ -213,6 +213,28 @@ def test_one_exchange_queries_match_brute(query):
         assert feasible(got.subset)
         assert got.weight == subset_sum(w, got.subset)
         assert got.a_value == subset_sum(a, got.subset) != 0
+
+
+@st.composite
+def parallel_multigraph_sets(draw):
+    """A loop-free multigraph on 2 to 4 vertices with up to 10 edges (so
+    many of them parallel), an edge subset and a forest count k <= 3."""
+    n = draw(st.integers(2, 4))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+    pairs = draw(st.lists(ends, min_size=1, max_size=10))
+    g = Graph.of(n, [(u, (u + d) % n) for u, d in pairs])
+    return g, draw(st.integers(0, (1 << g.m) - 1)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=300)
+@given(parallel_multigraph_sets())
+def test_partition_pass_matches_union_oracle(case):
+    # Past the sizes the brute referees reach: the one-pass values against
+    # the per-k independence test and the greedy rank of the union matroid.
+    g, mask, k = case
+    least = next(j for j in range(1, g.m + 1) if union_k_matroid(g, j).is_independent(mask))
+    assert arboricity_value(g, mask) == (least if mask else 0)
+    assert _packs_trees(g, k)(mask) == (union_k_matroid(g, k).rank(mask) == k * (g.n - 1))
 
 
 def test_arboricity_values():
