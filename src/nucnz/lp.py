@@ -7,8 +7,15 @@ pivoted once into a row that holds none yet; that row takes no part in
 any ratio test, so the variable never leaves.  The helper then covers
 every row whose basic value is negative and enters at the most negative
 one, which makes the basis feasible, and phase 1 minimizes the helper
-plus the artificials still basic.  The duals are the reduced costs of the
-unit columns at the optimum.
+plus the artificials still basic.  Only then is the objective priced out
+against the feasible basis, and phase 2 runs.  The duals are the reduced
+costs of the unit columns at the optimum.
+
+A feasible basis stays feasible under any objective.  An optimal solution
+therefore keeps its final tableau, and a solve over the same rows with
+another objective can start from it (``start=``): it copies that basis,
+prices its own objective out and runs phase 2 only.  A cold solve differs
+only in where its feasible basis comes from.
 
 The tableau holds arbitrary-precision integers with a single running
 denominator (the previous pivot, as in Bareiss elimination), so no
@@ -29,7 +36,7 @@ by the lcm of its own denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -90,13 +97,16 @@ class LPSolution:
     For optimal solutions, ``duals[i]`` is the multiplier of row i in its
     given orientation: d >= 0 on "<=" rows, d <= 0 on ">=" rows, free on
     equalities, with sum_i d_i a_i = c on free variables and
-    objective == sum_i d_i b_i (checked exactly).
+    objective == sum_i d_i b_i (checked exactly).  ``basis`` is the final
+    basis of an optimal solve, for ``solve_lp_exact(..., start=)``; it takes
+    no part in equality or repr.
     """
 
     status: str
     x: tuple[Fraction, ...] | None = None
     duals: tuple[Fraction, ...] | None = None
     objective: Fraction | None = None
+    basis: _Basis | None = field(default=None, compare=False, repr=False)
 
 
 class _Tableau:
@@ -155,7 +165,48 @@ class _Tableau:
         self.den = p
 
 
-def _choose_entering(cost: dict[int, int], allowed: list[int], bland: bool) -> int | None:
+@dataclass(eq=False)
+class _Basis:
+    """A simplex basis of one instance's rows, feasible once phase 1 is
+    done: the tableau, the basic column of each row, the rows without a
+    free variable (the only ones in a ratio test), the columns the simplex
+    may enter and the sign and scale of each row."""
+
+    rows: tuple  # the instance's rows, matched by identity
+    free: tuple[bool, ...]
+    tab: _Tableau
+    basis: list[int]
+    rest: tuple[int, ...]
+    structural: tuple[int, ...]
+    orient: tuple[int, ...]
+
+    def copy(self) -> "_Basis":
+        tab = _Tableau([dict(row) for row in self.tab.rows], [], self.tab.bcol)
+        tab.den = self.tab.den
+        return replace(self, tab=tab, basis=list(self.basis))
+
+    def run(self, cost_row: dict[int, int], allowed: Sequence[int]) -> str:
+        """Pivot on ``cost_row`` until it is optimal or a column is
+        unbounded: Dantzig's rule first, then Bland's for good, which
+        terminates."""
+        tab, basis = self.tab, self.basis
+        bland_after = 100 + 10 * (len(tab.rows) + tab.bcol)
+        iters = 0
+        while True:
+            iters += 1
+            if iters > 500000:
+                raise LPError("simplex iteration cap exceeded")
+            c = _choose_entering(cost_row, allowed, bland=iters > bland_after)
+            if c is None:
+                return "optimal"
+            r = _choose_leaving(tab, c, basis, self.rest)
+            if r is None:
+                return "unbounded"
+            tab.pivot(r, c)
+            basis[r] = c
+
+
+def _choose_entering(cost: dict[int, int], allowed: Sequence[int], bland: bool) -> int | None:
     if bland:
         for j in allowed:
             if cost.get(j, 0) < 0:
@@ -171,7 +222,7 @@ def _choose_entering(cost: dict[int, int], allowed: list[int], bland: bool) -> i
     return best
 
 
-def _choose_leaving(tab: _Tableau, c: int, basis: list[int], rest: list[int]) -> int | None:
+def _choose_leaving(tab: _Tableau, c: int, basis: list[int], rest: Sequence[int]) -> int | None:
     best = None
     best_b = 0
     best_t = 0
@@ -191,10 +242,72 @@ def _choose_leaving(tab: _Tableau, c: int, basis: list[int], rest: list[int]) ->
     return best
 
 
-def solve_lp_exact(lp: LPInstance) -> LPSolution:
+def solve_lp_exact(lp: LPInstance, start: LPSolution | None = None) -> LPSolution:
     """Solve a rational LP exactly; always returns a status, never raises
     for infeasible or unbounded instances.  An optimal solution is
-    returned only after its certificate checks."""
+    returned only after its certificate checks.
+
+    ``start``, an optimal solution over the same ``rows`` object and the
+    same ``free`` flags, supplies a feasible basis in place of phase 1:
+    the solve copies it and runs phase 2 only.
+    """
+    if start is None:
+        feasible = _feasible_basis(lp)
+        if feasible is None:
+            return LPSolution(status="infeasible")
+    elif start.basis is None:
+        raise ValueError(f"a {start.status} solution has no basis to start from")
+    elif start.basis.rows is not lp.rows or start.basis.free != lp.free:
+        raise ValueError("start solves other rows or other free flags")
+    else:
+        feasible = start.basis.copy()
+
+    n = lp.n_vars
+    m = len(lp.rows)
+    tab, basis = feasible.tab, feasible.basis
+    rows, bcol, den = tab.rows, tab.bcol, tab.den
+    # Phase-2 cost row: minimize -sigma * objective.  Over the running
+    # denominator it is den c - sum_r c_basis[r] rows[r], which is the row
+    # the pivots so far would have made of c, because Bareiss keeps every
+    # basic column at den.
+    scaled, sigma = integer_scaled(lp.objective)
+    cost2 = {j: -den * v for j, v in enumerate(scaled) if v}
+    for r, j in enumerate(basis):
+        if j < n and scaled[j]:
+            for k, v in rows[r].items():
+                cost2[k] = cost2.get(k, 0) + scaled[j] * v
+    cost2 = {j: v for j, v in cost2.items() if v}
+    tab.costs = [cost2]
+
+    # A free variable that found no row has a zero column in every row
+    # left to the simplex: if it still has a cost, it is a free ray.
+    basic = set(basis)
+    if any(j in cost2 for j in range(n) if lp.free[j] and j not in basic):
+        return LPSolution(status="unbounded")
+    if feasible.run(cost2, feasible.structural) == "unbounded":
+        return LPSolution(status="unbounded")
+
+    den = tab.den
+    x = [Fraction(0)] * n
+    for r, j in enumerate(basis):
+        if j < n:
+            x[j] = Fraction(rows[r].get(bcol, 0), den)
+    objective = sum((cj * xj for cj, xj in zip(lp.objective, x)), Fraction(0))
+    # The reduced cost of row i's unit column is minus its dual in the
+    # scaled, oriented, minimizing form.
+    orient = feasible.orient
+    duals = tuple(Fraction(cost2.get(n + i, 0) * orient[i], den * sigma) for i in range(m))
+
+    sol = LPSolution(
+        status="optimal", x=tuple(x), duals=duals, objective=objective, basis=feasible
+    )
+    _verify_certificate(lp, sol)
+    return sol
+
+
+def _feasible_basis(lp: LPInstance) -> _Basis | None:
+    """Free-variable pivots, phase 1 and the drive-out: a feasible basis of
+    ``lp.rows``, or None if the rows are infeasible."""
     n = lp.n_vars
     m = len(lp.rows)
 
@@ -202,9 +315,6 @@ def solve_lp_exact(lp: LPInstance) -> LPSolution:
     # that its unit column n + i is a +1 slack.
     helper = n + m
     bcol = helper + 1
-    # Phase-2 cost row: minimize -sigma * objective.
-    scaled, sigma = integer_scaled(lp.objective)
-    cost2 = {j: -v for j, v in enumerate(scaled) if v}
     rows: list[dict[int, int]] = []
     orient: list[int] = []
     for i, (coeffs, sense, rhs) in enumerate(lp.rows):
@@ -218,9 +328,11 @@ def solve_lp_exact(lp: LPInstance) -> LPSolution:
             row[bcol] = scaled[n]
         rows.append(row)
         orient.append(rho)
-    tab = _Tableau(rows, [cost2], bcol)
+    tab = _Tableau(rows, [], bcol)
     basis = [n + i for i in range(m)]
     equality = [sense == "==" for _, sense, _ in lp.rows]
+    structural = [j for j in range(n) if not lp.free[j]]
+    structural += [n + i for i in range(m) if not equality[i]]
     artificial = {n + i for i in range(m) if equality[i]}
 
     # Each free variable enters once, in a row that holds none yet, and
@@ -233,25 +345,7 @@ def solve_lp_exact(lp: LPInstance) -> LPSolution:
                 tab.pivot(r, j)
                 basis[r] = j
                 rest.remove(r)
-
-    structural = [j for j in range(n) if not lp.free[j]]
-    structural += [n + i for i in range(m) if not equality[i]]
-    bland_after = 100 + 10 * (m + bcol)
-
-    def run(cost_row: dict[int, int], allowed: list[int]) -> str:
-        iters = 0
-        while True:
-            iters += 1
-            if iters > 500000:
-                raise LPError("simplex iteration cap exceeded")
-            c = _choose_entering(cost_row, allowed, bland=iters > bland_after)
-            if c is None:
-                return "optimal"
-            r = _choose_leaving(tab, c, basis, rest)
-            if r is None:
-                return "unbounded"
-            tab.pivot(r, c)
-            basis[r] = c
+    feasible = _Basis(lp.rows, lp.free, tab, basis, tuple(rest), tuple(structural), tuple(orient))
 
     # Phase 1: the helper column covers every row with a negative basic
     # value and enters at the most negative one; then minimize the helper
@@ -273,10 +367,10 @@ def solve_lp_exact(lp: LPInstance) -> LPSolution:
             r = min(negative, key=lambda i: rows[i][bcol])
             tab.pivot(r, helper)
             basis[r] = helper
-        if run(cost1, structural + [helper]) != "optimal":
+        if feasible.run(cost1, structural + [helper]) != "optimal":
             raise LPError("phase 1 cannot be unbounded")
         if cost1.get(bcol, 0) < 0:
-            return LPSolution(status="infeasible")
+            return None
         tab.costs.pop()
     # Drive the helper and the artificials out; they are basic at zero,
     # so these pivots are degenerate whatever the sign of the entry.
@@ -288,28 +382,7 @@ def solve_lp_exact(lp: LPInstance) -> LPSolution:
                 basis[r] = target
             # Otherwise the row is redundant; its artificial stays basic
             # at zero and never moves (no allowed column has an entry).
-
-    # A free variable that found no row has a zero column in every row
-    # left to the simplex: if it still has a cost, it is a free ray.
-    basic = set(basis)
-    if any(j in cost2 for j in range(n) if lp.free[j] and j not in basic):
-        return LPSolution(status="unbounded")
-    if run(cost2, structural) == "unbounded":
-        return LPSolution(status="unbounded")
-
-    den = tab.den
-    x = [Fraction(0)] * n
-    for r, j in enumerate(basis):
-        if j < n:
-            x[j] = Fraction(rows[r].get(bcol, 0), den)
-    objective = sum((cj * xj for cj, xj in zip(lp.objective, x)), Fraction(0))
-    # The reduced cost of row i's unit column is minus its dual in the
-    # scaled, oriented, minimizing form.
-    duals = tuple(Fraction(cost2.get(n + i, 0) * orient[i], den * sigma) for i in range(m))
-
-    sol = LPSolution(status="optimal", x=tuple(x), duals=duals, objective=objective)
-    _verify_certificate(lp, sol)
-    return sol
+    return feasible
 
 
 def _free_row(tab: _Tableau, rest: list[int], j: int, equality: list[bool]) -> int | None:
@@ -335,6 +408,8 @@ def _verify_certificate(lp: LPInstance, sol: LPSolution) -> None:
     from ``lp`` and ``sol`` alone.  A dual is carried into the sums over its
     row times common // rho, so every row stands over the common lcm."""
     assert sol.x is not None and sol.duals is not None
+    if len(sol.x) != lp.n_vars or len(sol.duals) != len(lp.rows):
+        raise LPError("solution shape does not match the instance")
     x, dx = integer_scaled(sol.x)
     duals, dd = integer_scaled(sol.duals)
     rows = [integer_scaled((*coeffs, rhs)) for coeffs, _, rhs in lp.rows]

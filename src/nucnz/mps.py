@@ -20,7 +20,7 @@ exactly on every game.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Sequence
@@ -55,9 +55,9 @@ LsaSolver = Callable[[GameOracle, Sequence[Fraction], LinearSubspace], ExcessRep
 ValueFn = Callable[[int], Fraction]
 
 # reference_nucleolus solves LPs with a row for each of the 2^n
-# coalitions.  On random_monotone_game(n, 1) it took 0.11 / 0.35 / 2.2 s at
-# n = 6 / 7 / 8 (Python 3.11, one core of a shared 2-core Intel Xeon), so
-# each player past 7 multiplies a validator run by about six.
+# coalitions.  On random_monotone_game(n, 1) it took 0.042 / 0.12 / 0.51 s
+# at n = 6 / 7 / 8 (Python 3.11, one core of a shared 2-core Intel Xeon), so
+# each player past 7 multiplies a validator run by about four.
 REFERENCE_MAX_PLAYERS = 7
 
 
@@ -280,8 +280,12 @@ def reference_nucleolus(g: GameOracle) -> NucleolusResult:
     Every level solves the LP with rows for all coalitions outside the
     current span.  A tight coalition is fixed iff maximizing its excess
     over the level's optimal face cannot move it above the level value,
-    which is decided by one auxiliary LP per tight coalition.  This fixing
-    rule differs from dual support but produces the same allocation.
+    which is decided by one auxiliary LP per tight coalition.  A level's
+    auxiliary LPs share one instance's rows and differ only in their
+    objective, so only the first runs phase 1; each later one starts from
+    the optimal basis of the one before and runs phase 2 only.  Each must
+    end optimal.  This fixing rule differs from dual support but produces
+    the same allocation.
     """
     vg = as_value_game(g)
     n = vg.player_count
@@ -320,17 +324,21 @@ def reference_nucleolus(g: GameOracle) -> NucleolusResult:
 
         ysum = {m: sum(y[p] for p in range(n) if (m >> p) & 1) for m in active}
         tight = [m for m in active if ysum[m] - table[m] == xi]
-        pinned = []
         aux_rows = []
         for mask, xs in fixed:
             aux_rows.append((coalition_vector(mask, n), "==", table[mask] + xs))
         aux_rows.append((coalition_vector(full, n), "==", table[full]))
         for mask in active:
             aux_rows.append((coalition_vector(mask, n), ">=", table[mask] + xi))
+        aux = LPInstance.maximize([0] * n, aux_rows)
+        pinned = []
+        start = None
         for mask in tight:
-            aux_obj = [Fraction(v) for v in coalition_vector(mask, n)]
-            aux = solve_lp_exact(LPInstance.maximize(aux_obj, aux_rows))
-            if aux.status == "optimal" and aux.objective == table[mask] + xi:
+            aux_obj = tuple(Fraction(v) for v in coalition_vector(mask, n))
+            start = solve_lp_exact(replace(aux, objective=aux_obj), start)
+            if start.status != "optimal":
+                raise MpsError(f"reference pinning LP came back {start.status}")
+            if start.objective == table[mask] + xi:
                 pinned.append(mask)
         if not pinned:
             raise MpsError("reference level pinned no coalition")

@@ -251,6 +251,48 @@ def test_boxed_lps_match_vertex_enumeration(data):
         assert sol.objective == best
 
 
+@settings(max_examples=150)
+@given(data=st.data())
+def test_warm_solves_match_cold_solves(data):
+    # The boxed draw above with 2-4 objectives over one rows tuple: a chain
+    # of warm solves, each started from the one before, against cold solves.
+    n = data.draw(st.integers(1, 4))
+    free = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    objectives = data.draw(
+        st.lists(st.lists(RATIONALS, min_size=n, max_size=n), min_size=2, max_size=4)
+    )
+    rows = data.draw(mixed_rows(n))
+    for j in range(n):
+        unit = tuple(int(i == j) for i in range(n))
+        rows.append((unit, "<=", 3))
+        if free[j]:
+            rows.append((unit, ">=", -3))
+    first = LPInstance.maximize(objectives[0], rows, free)
+    lps = [replace(first, objective=tuple(map(F, c))) for c in objectives]
+    cold = [solve_lp_exact(lp) for lp in lps]
+    if cold[0].status == "infeasible":
+        assert {sol.status for sol in cold} == {"infeasible"}
+        with pytest.raises(ValueError):
+            solve_lp_exact(first, cold[0])
+        return
+    start = None
+    for lp, want in zip(lps, cold):
+        start = solve_lp_exact(lp, start)
+        assert start.status == want.status == "optimal"
+        assert start.objective == want.objective
+        _verify_certificate(lp, start)
+    # One start serves any number of solves, in any order.
+    a, b = lps[:2]
+    forward = [solve_lp_exact(lp, start) for lp in (a, b)]
+    backward = [solve_lp_exact(lp, start) for lp in (b, a)]
+    assert forward == backward[::-1]
+    assert [sol.objective for sol in forward] == [sol.objective for sol in cold[:2]]
+    with pytest.raises(ValueError):
+        solve_lp_exact(LPInstance.maximize(objectives[0], rows, free), start)
+    with pytest.raises(ValueError):
+        solve_lp_exact(replace(first, free=tuple(not f for f in free)), start)
+
+
 @given(data=st.data())
 def test_planted_improving_ray_is_unbounded(data):
     # Rows are oriented so that x0 + t d stays feasible for every t >= 0,
@@ -341,6 +383,20 @@ def test_certificate_rejects_each_tampered_condition(message):
     bad = replace(sol, x=tuple(x), duals=tuple(duals), objective=sol.objective + shift)
     with pytest.raises(LPError, match=f"^{message}$"):
         _verify_certificate(CERT_LP, bad)
+
+
+@pytest.mark.parametrize(
+    "x, duals",
+    [(CERT_X + (0,), CERT_DUALS), (CERT_X, CERT_DUALS + (5,))],
+    ids=["extra-x", "extra-dual"],
+)
+def test_certificate_rejects_a_solution_of_another_shape(x, duals):
+    # zip would drop the extra entry and the rest of the check would pass.
+    sol = replace(
+        _certified_solution(), x=tuple(map(F, x)), duals=tuple(map(F, duals))
+    )
+    with pytest.raises(LPError, match="^solution shape does not match the instance$"):
+        _verify_certificate(CERT_LP, sol)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import nucnz.mps
 from nucnz.fixtures import random_monotone_game
 from nucnz.games import (
     CapExceededError,
@@ -13,6 +14,7 @@ from nucnz.games import (
     make_allocation,
 )
 from nucnz.linalg import LinearSubspace
+from nucnz.lp import LPSolution
 from nucnz.mps import MpsError, least_core, mps_nucleolus, reference_nucleolus
 
 
@@ -197,6 +199,21 @@ def ref6_dense():
 
 
 REF6_ALLOCATION = ["0", "22/3", "47/6", "133/6", "2/3", "3"]
+
+
+def test_reference_raises_when_a_pinning_lp_is_not_optimal(monkeypatch):
+    # The first call is the level LP; the second is the first pinning LP.
+    real = nucnz.mps.solve_lp_exact
+    calls = []
+
+    def first_pin_unbounded(lp, start=None):
+        calls.append(lp)
+        return LPSolution("unbounded") if len(calls) == 2 else real(lp, start)
+
+    monkeypatch.setattr(nucnz.mps, "solve_lp_exact", first_pin_unbounded)
+    with pytest.raises(MpsError, match="^reference pinning LP came back unbounded$"):
+        reference_nucleolus(ref6_dense())
+    assert len(calls) == 2
 
 
 def test_ref6_traces_are_pinned():
