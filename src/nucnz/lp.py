@@ -31,7 +31,7 @@ termination.  Optimal solutions come with exact duals, and a strong
 duality certificate is checked before returning.  The check reads only
 the instance and the returned solution, never the tableau, and runs in
 integers: x and the duals over one denominator each, and each row scaled
-by the lcm of its own denominators.
+by the lcm of its own denominators, once for each rows object in turn.
 """
 
 from __future__ import annotations
@@ -403,6 +403,21 @@ def _free_row(tab: _Tableau, rest: list[int], j: int, equality: list[bool]) -> i
     return best
 
 
+# The rows object last checked, its rows scaled to integers and the lcm of
+# their scales.  A level's pinning LPs share one rows tuple, so the check
+# scales it once for all of them.  It is matched by identity: the rows of an
+# LPInstance are nested tuples and cannot change.
+_scaled_rows: tuple = (None, [], 1)
+
+
+def _integer_rows(rows) -> tuple[list[tuple[list[int], int]], int]:
+    global _scaled_rows
+    if _scaled_rows[0] is not rows:
+        scaled = [integer_scaled((*coeffs, rhs)) for coeffs, _, rhs in rows]
+        _scaled_rows = (rows, scaled, lcm(*(rho for _, rho in scaled)))
+    return _scaled_rows[1], _scaled_rows[2]
+
+
 def _verify_certificate(lp: LPInstance, sol: LPSolution) -> None:
     """Check primal feasibility, dual signs, stationarity and strong duality
     from ``lp`` and ``sol`` alone.  A dual is carried into the sums over its
@@ -412,8 +427,7 @@ def _verify_certificate(lp: LPInstance, sol: LPSolution) -> None:
         raise LPError("solution shape does not match the instance")
     x, dx = integer_scaled(sol.x)
     duals, dd = integer_scaled(sol.duals)
-    rows = [integer_scaled((*coeffs, rhs)) for coeffs, _, rhs in lp.rows]
-    common = lcm(*(rho for _, rho in rows))
+    rows, common = _integer_rows(lp.rows)
     # Below, dual_obj and coefs (the sum of d_i a_i) are scaled by dd * common.
     dual_obj = 0
     coefs = [0] * lp.n_vars

@@ -47,6 +47,28 @@ def is_acyclic(graph, mask):
     return True
 
 
+def brute_partitionable(graph, mask, k):
+    """Whether the edge subset splits into k forests, by backtracking over
+    the part of each edge in turn."""
+    es = bits(mask)
+
+    def rec(idx, parts):
+        if idx == len(es):
+            return True
+        e = es[idx]
+        for i in range(len(parts)):
+            if is_acyclic(graph, parts[i] | (1 << e)):
+                parts[i] |= 1 << e
+                if rec(idx + 1, parts):
+                    return True
+                parts[i] ^= 1 << e
+            if parts[i] == 0:
+                break  # empty parts are interchangeable
+        return False
+
+    return rec(0, [0] * k)
+
+
 def brute_arboricity(graph, mask):
     """DP: min forests covering mask (mask must be loop-free)."""
     memo = {0: 0}

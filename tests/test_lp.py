@@ -385,6 +385,17 @@ def test_certificate_rejects_each_tampered_condition(message):
         _verify_certificate(CERT_LP, bad)
 
 
+def test_certificate_scales_each_rows_object_it_is_given():
+    # The check keeps the integer scaling of the last rows tuple it saw; an
+    # instance with other rows, checked next, must be scaled afresh.
+    sol = _certified_solution()
+    (coeffs, sense, rhs), *rest = CERT_LP.rows
+    other = replace(CERT_LP, rows=((coeffs, sense, rhs + 1), *rest))
+    with pytest.raises(LPError, match="^primal equality violated$"):
+        _verify_certificate(other, sol)
+    _verify_certificate(CERT_LP, sol)
+
+
 @pytest.mark.parametrize(
     "x, duals",
     [(CERT_X + (0,), CERT_DUALS), (CERT_X, CERT_DUALS + (5,))],

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction as F
 
@@ -6,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bits,
     brute_arboricity,
     brute_best_nz_basis,
     brute_best_nz_independent_set,
     brute_best_nz_spanning_set,
+    brute_partitionable,
     brute_strength,
     check_matroid_axioms,
+    is_acyclic,
     popcount,
     subset_sum,
 )
@@ -28,6 +32,7 @@ from nucnz.matroids import (
     ArboricityGame,
     NetworkStrengthGame,
     _nz_max_weight_spanning_set,
+    _Partition,
     _packs_trees,
     arboricity_lsa_solver,
     arboricity_nz_min_excess,
@@ -80,32 +85,33 @@ def test_union_matches_partition_definition():
         k = rng.randint(1, 3)
         um = union_k_matroid(g, k)
         for mask in range(1 << g.m):
-            expected = _partitionable(g, mask, k)
+            expected = brute_partitionable(g, mask, k)
             assert um.is_independent(mask) == expected, (g, k, mask)
 
 
-def _partitionable(g, mask, k):
-    from helpers import bits, is_acyclic
-
-    es = bits(mask)
-    if not es:
-        return True
-
-    def rec(idx, parts):
-        if idx == len(es):
-            return True
-        e = es[idx]
-        for i in range(len(parts)):
-            if is_acyclic(g, parts[i] | (1 << e)):
-                parts[i] |= 1 << e
-                if rec(idx + 1, parts):
-                    return True
-                parts[i] ^= 1 << e
-            if parts[i] == 0:
-                break  # empty parts are interchangeable
-        return False
-
-    return rec(0, [0] * k)
+def test_one_oracle_answers_a_mask_sequence_like_the_referee():
+    # One oracle and one spanning test each answer a random walk of masks,
+    # so every answer starts from the partition the earlier ones left.
+    rng = random.Random(17)
+    for trial in range(40):
+        g = random_graph(rng.randint(2, 4), rng.randint(1, 7), 500 + trial)
+        k = rng.randint(1, 3)
+        um = union_k_matroid(g, k)
+        spans = _packs_trees(g, k)
+        r = k * (g.n - 1)
+        mask = 0
+        for _ in range(60):
+            if rng.random() < 0.3:
+                mask = rng.randrange(1 << g.m)
+            else:
+                mask ^= 1 << rng.randrange(g.m)
+            assert um.is_independent(mask) == brute_partitionable(g, mask, k), (g, k, mask)
+            packs = any(
+                popcount(sub) == r and brute_partitionable(g, sub, k)
+                for sub in range(1 << g.m)
+                if sub & ~mask == 0
+            )
+            assert spans(mask) == packs, (g, k, mask)
 
 
 def test_greedy_basis_triangle():
@@ -235,6 +241,61 @@ def test_partition_pass_matches_union_oracle(case):
     least = next(j for j in range(1, g.m + 1) if union_k_matroid(g, j).is_independent(mask))
     assert arboricity_value(g, mask) == (least if mask else 0)
     assert _packs_trees(g, k)(mask) == (union_k_matroid(g, k).rank(mask) == k * (g.n - 1))
+
+
+def _forest_masks(p):
+    """Each forest's edge mask, read from its adjacency."""
+    return [sum({1 << e for nbrs in forest.values() for e in nbrs}) for forest in p.forests]
+
+
+def _brute_rank(g, mask, k):
+    """Greedy rank of the edge subset in the k-fold union, with the
+    backtracking referee as its independence test."""
+    basis = 0
+    for e in bits(mask):
+        if brute_partitionable(g, basis | 1 << e, k):
+            basis |= 1 << e
+    return popcount(basis)
+
+
+@st.composite
+def partition_walks(draw):
+    """A loop-free multigraph on 2 to 4 vertices with up to 10 edges, a
+    forest count k <= 3 and a walk of steps: an edge to insert or remove,
+    or a (mask, target) pair for ``edit_to``."""
+    g, _, k = draw(parallel_multigraph_sets())
+    edit = st.tuples(st.integers(0, (1 << g.m) - 1), st.integers(0, g.m))
+    steps = draw(st.lists(st.one_of(st.integers(0, g.m - 1), edit), max_size=25))
+    return g, k, steps
+
+
+@settings(max_examples=200)
+@given(partition_walks())
+def test_partition_edits_keep_forests_and_match_the_referee(walk):
+    g, k, steps = walk
+    p = _Partition(g, k)
+    for step in steps:
+        before = (p.placed, dict(p.colour), copy.deepcopy(p.forests))
+        if isinstance(step, tuple):
+            mask, target = step
+            reached = p.edit_to(mask, target)
+            assert reached == (_brute_rank(g, mask, k) >= target)
+            if reached:
+                assert p.placed & ~mask == 0 and popcount(p.placed) >= target
+        elif p.placed >> step & 1:
+            p.remove(step)
+            reached = True
+        else:
+            reached = p.insert(step)
+            assert reached == brute_partitionable(g, before[0] | 1 << step, k)
+        if not reached:
+            assert (p.placed, p.colour, p.forests) == before
+        masks = _forest_masks(p)
+        assert all(is_acyclic(g, m) for m in masks)
+        assert masks == [
+            sum(1 << e for e, c in p.colour.items() if c == i) for i in range(k)
+        ]
+        assert sum(masks) == p.placed
 
 
 def test_arboricity_values():
