@@ -41,7 +41,6 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .exact_matching import exact_weight_perfect_matching, pf_weight_support
 from .games import ExcessReport, coalition_sum
 from .graphs import Graph
 from .linalg import LinearSubspace, integer_kernel_basis, integer_scaled, rat_str
@@ -361,6 +360,8 @@ def nz_matching_randomized(
     uniquely into a (label sum, weight) pair.  The best feasible total is
     found from the pfaffian support and a witness extracted and verified.
     """
+    from .exact_matching import exact_weight_perfect_matching, pf_weight_support
+
     g = inst.graph
     w = []
     for v in inst.w:

@@ -413,9 +413,11 @@ def arboricity_nz_min_excess(
 
     For every forest-cover budget k up to ``kmax``, the forest-cover number
     of all of g (computed when not given), the best candidate is a maximum
-    y-weight nonzero independent set of the k-fold union matroid; its
-    recomputed cover number keeps the candidate value exact.  The sets are
-    chosen and compared on y scaled to integers, which orders them alike.
+    y-weight nonzero independent set of the k-fold union matroid.  Its
+    cover number, which keeps the candidate value exact, is the least
+    budget whose matroid still holds it: the loop asks the oracles of the
+    budgets below k, from k - 1 down.  The sets are chosen and compared on
+    y scaled to integers, which orders them alike.
     """
     if all(v == 0 for v in a):
         raise ValueError("non-zero constraint vector must have a nonzero entry")
@@ -425,12 +427,17 @@ def arboricity_nz_min_excess(
     best: tuple[Fraction, int] | None = None
     if kmax is None:
         kmax = arboricity_value(g, (1 << g.m) - 1)
+    oracles: list[MatroidOracle] = []
     for k in range(1, kmax + 1):
-        res = nz_max_weight_independent_set(union_k_matroid(g, k), wi, a)
+        oracles.append(union_k_matroid(g, k))
+        res = nz_max_weight_independent_set(oracles[-1], wi, a)
         if res is None:
             continue
+        cover = k  # res.subset is nonempty, as its label is nonzero
+        while cover > 1 and oracles[cover - 2].is_independent(res.subset):
+            cover -= 1
         # Both terms are scaled by den: res.weight is y(S) * den.
-        ex = arboricity_value(g, res.subset) * den - res.weight
+        ex = cover * den - res.weight
         if best is None or (ex, res.subset) < best:
             best = (ex, res.subset)
     if best is None:

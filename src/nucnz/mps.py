@@ -8,7 +8,9 @@ point the allocation is unique.
 
 The per-level LP is solved by cutting planes: the working LP starts from
 the singleton rows plus the efficiency equality, and a separation oracle
-supplies violated coalition rows.  ``mode="enumerate"`` uses the
+supplies violated coalition rows.  Each level is one LP session: its
+first LP is solved cold, and each cut appends one row and re-optimizes
+from the optimum before by dual simplex.  ``mode="enumerate"`` uses the
 exhaustive scan :func:`~nucnz.games.min_excess_where` as the oracle,
 keeping the coalitions outside the span; ``mode="oracle"`` takes a
 caller-supplied solver for the subspace-avoiding minimum-excess problem.
@@ -118,24 +120,24 @@ def _enumerate_sep(vg: GameOracle) -> LsaSolver:
     return sep
 
 
+def _cut_row(n: int, value: ValueFn, mask: int) -> tuple:
+    """The row y(S) - xi >= v(S) of coalition S."""
+    return (*coalition_vector(mask, n), -1), ">=", value(mask)
+
+
 def _level_lp(
     n: int,
     value: ValueFn,
     fixed: list[tuple[int, Fraction]],
     cuts: list[int],
 ) -> LPInstance:
-    """Variables are y_0..y_{n-1} and xi (last)."""
+    """Variables are y_0..y_{n-1} and xi (last), all free.  The
+    coefficients stay ints, which the LP scales to integers as they are."""
     full = (1 << n) - 1
-    rows = []
-    for mask, xs in fixed:
-        rows.append(
-            (list(coalition_vector(mask, n)) + [0], "==", value(mask) + xs)
-        )
-    rows.append((list(coalition_vector(full, n)) + [0], "==", value(full)))
-    for mask in cuts:
-        rows.append((list(coalition_vector(mask, n)) + [-1], ">=", value(mask)))
-    obj = [Fraction(0)] * n + [Fraction(1)]
-    return LPInstance.maximize(obj, rows)
+    rows = [((*coalition_vector(mask, n), 0), "==", value(mask) + xs) for mask, xs in fixed]
+    rows.append(((*coalition_vector(full, n), 0), "==", value(full)))
+    rows.extend(_cut_row(n, value, mask) for mask in cuts)
+    return LPInstance((0,) * n + (1,), tuple(rows), (True,) * (n + 1))
 
 
 def _solve_level(
@@ -148,14 +150,17 @@ def _solve_level(
 ) -> tuple[Fraction, tuple[Fraction, ...], dict[int, Fraction]]:
     """Cutting-plane solve of one level. Returns (xi, y, nonzero duals).
 
-    ``value`` is the solve's memoised ``vg.value``: every rebuild of the
-    level LP reads the values of the same fixed and cut coalitions again.
+    One LP session per level: the level's first LP is solved cold, and
+    each cut appends its row to the LP before and re-solves from the
+    previous optimum (``solve_lp_exact(..., start=)``, by dual simplex).
+    ``value`` is the solve's memoised ``vg.value``: each level's first LP
+    reads the values of the fixed and carried-over cut coalitions again.
     """
     n = vg.player_count
     cut_set = set(cuts)
+    lp = _level_lp(n, value, fixed, cuts)
+    sol = solve_lp_exact(lp)
     while True:
-        lp = _level_lp(n, value, fixed, cuts)
-        sol = solve_lp_exact(lp)
         if sol.status != "optimal":
             raise MpsError(f"level LP came back {sol.status}")
         y = sol.x[:n]
@@ -183,6 +188,8 @@ def _solve_level(
             )
         cuts.append(rep.coalition)
         cut_set.add(rep.coalition)
+        lp = replace(lp, rows=lp.rows + (_cut_row(n, value, rep.coalition),))
+        sol = solve_lp_exact(lp, sol)
 
 
 def _separator(vg: GameOracle, mode: str, sep: LsaSolver | None) -> LsaSolver:

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from helpers import (
     shortest_nz_cycle_bruteforce,
     subset_sum,
 )
+from nucnz import bmatch
 from nucnz.bmatch import (
     BMatchInstance,
     NZMatchingInstance,
@@ -195,6 +200,15 @@ def test_nz_matching_randomized_examples():
     inst2 = NZMatchingInstance(g, (F(3), F(2)), (1, 0))
     got2, wt2 = nz_matching_randomized(inst2, seed=11)
     assert wt2 == 5  # unconstrained optimum is already nonzero
+
+
+def test_solve_path_import_leaves_exact_matching_out():
+    """Only nz_matching_randomized needs the pfaffian solver, and it imports
+    it when called."""
+    probe = "import sys, nucnz.bmatch; sys.exit('nucnz.exact_matching' in sys.modules)"
+    src = str(Path(bmatch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
 
 
 def test_nz_matching_randomized_rejects_fractional():

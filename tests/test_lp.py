@@ -1,13 +1,16 @@
+import copy
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_lp_max
-from nucnz.lp import LPError, LPInstance, _Tableau, _verify_certificate, solve_lp_exact
+from nucnz import lp as lp_module
+from nucnz.lp import LPError, LPInstance, LPSolution, _Tableau, _verify_certificate, solve_lp_exact
 
 
 def test_single_upper_bound_with_dual():
@@ -228,11 +231,10 @@ def mixed_rows(draw, n):
     return rows
 
 
-@settings(max_examples=150)
-@given(data=st.data())
-def test_boxed_lps_match_vertex_enumeration(data):
-    # Up to 4 variables and 6 drawn rows, plus the box -3 <= x_j <= 3 (the
-    # lower side only for free variables), so the feasible set is bounded.
+def _boxed_draw(data):
+    """Up to 4 variables and 6 drawn rows, plus the box -3 <= x_j <= 3 (the
+    lower side only for free variables), so the feasible set is bounded:
+    (objective, rows, free)."""
     n = data.draw(st.integers(1, 4))
     free = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     objective = data.draw(st.lists(RATIONALS, min_size=n, max_size=n))
@@ -242,6 +244,13 @@ def test_boxed_lps_match_vertex_enumeration(data):
         rows.append((unit, "<=", 3))
         if free[j]:
             rows.append((unit, ">=", -3))
+    return objective, rows, free
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_boxed_lps_match_vertex_enumeration(data):
+    objective, rows, free = _boxed_draw(data)
     sol = solve_lp_exact(LPInstance.maximize(objective, rows, free))
     best = brute_lp_max(objective, rows, free)
     if best is None:
@@ -291,6 +300,108 @@ def test_warm_solves_match_cold_solves(data):
         solve_lp_exact(LPInstance.maximize(objectives[0], rows, free), start)
     with pytest.raises(ValueError):
         solve_lp_exact(replace(first, free=tuple(not f for f in free)), start)
+
+
+def _check_appended_rows(data):
+    # The boxed draw, then 1-4 inequalities appended one at a time; each
+    # warm re-solve, started from the solve before, must match a cold solve
+    # of the same rows.
+    lp = LPInstance.maximize(*_boxed_draw(data))
+    sol = solve_lp_exact(lp)
+    if sol.status != "optimal":
+        return
+    n = lp.n_vars
+    for _ in range(data.draw(st.integers(1, 4))):
+        coeffs = tuple(data.draw(RATIONALS) for _ in range(n))
+        rhs = data.draw(st.integers(-4, 4).map(F))
+        row = (coeffs, data.draw(st.sampled_from(["<=", ">="])), rhs)
+        lp = replace(lp, rows=lp.rows + (row,))
+        warm = solve_lp_exact(lp, sol)
+        cold = solve_lp_exact(lp)
+        assert warm.status == cold.status
+        if warm.status != "optimal":
+            assert warm.status == "infeasible"
+            return
+        assert warm.objective == cold.objective
+        _verify_certificate(lp, warm)
+        sol = warm
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_appended_rows_match_cold_solves(data):
+    _check_appended_rows(data)
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_appended_rows_match_cold_solves_under_dual_bland(data):
+    # With the threshold at 0, every dual simplex iteration takes the dual
+    # Bland rule.
+    with mock.patch.object(lp_module, "DUAL_BLAND_AFTER", 0):
+        _check_appended_rows(data)
+
+
+def _session_start():
+    """max x0 + x1 over a box, and the same rows with a cut appended."""
+    box = LPInstance.maximize(
+        [1, 1],
+        [((1, 0), "<=", 3), ((0, 1), "<=", 3), ((1, 0), ">=", -3), ((0, 1), ">=", -3)],
+    )
+    start = solve_lp_exact(box)
+    assert start.status == "optimal" and start.objective == 6
+    return box, start, replace(box, rows=box.rows + (((1, 2), "<=", 4),))
+
+
+def test_appended_cut_reoptimises_by_dual_simplex():
+    _, start, cut = _session_start()
+    warm = solve_lp_exact(cut, start)
+    assert warm.status == "optimal"
+    assert warm.x == (3, F(1, 2)) and warm.objective == F(7, 2)
+    assert warm == solve_lp_exact(cut)
+    infeasible = replace(cut, rows=cut.rows + (((1, 1), ">=", 7),))
+    assert solve_lp_exact(infeasible, warm).status == "infeasible"
+
+
+def test_warm_resolve_leaves_the_start_unchanged():
+    _, start, cut = _session_start()
+    held = copy.deepcopy(start.basis)
+    solve_lp_exact(cut, start)
+    basis = start.basis
+    assert basis.tab.rows == held.tab.rows and basis.tab.costs == held.tab.costs
+    assert basis.tab.den == held.tab.den and basis.basis == held.basis
+    assert (basis.rows, basis.rest, basis.structural, basis.orient) == (
+        held.rows, held.rest, held.structural, held.orient
+    )
+    # The same start still serves another cut.
+    other = replace(cut, rows=start.basis.rows + (((2, 1), "<=", 4),))
+    assert solve_lp_exact(other, start).objective == solve_lp_exact(other).objective
+
+
+def test_appended_row_takes_a_free_column_that_found_no_row():
+    # x0 is in no row of the start, and it enters the appended row as a
+    # cold solve would pivot it in.
+    lp = LPInstance.maximize([0, 1], [((0, 1), "<=", 3)])
+    start = solve_lp_exact(lp)
+    cut = replace(lp, rows=lp.rows + (((1, 1), "<=", 2),))
+    warm = solve_lp_exact(cut, start)
+    assert warm.status == "optimal" and warm.objective == 3
+    assert warm == solve_lp_exact(cut)
+
+
+def test_start_that_does_not_fit_raises():
+    box, start, cut = _session_start()
+    (first, *others) = cut.rows
+    with pytest.raises(ValueError, match="do not begin these"):
+        solve_lp_exact(replace(cut, rows=tuple(others) + (first,)), start)
+    with pytest.raises(ValueError, match="do not begin these"):
+        solve_lp_exact(replace(box, rows=box.rows[:-1]), start)
+    with pytest.raises(ValueError, match="must be an inequality"):
+        solve_lp_exact(replace(box, rows=box.rows + (((1, 2), "==", 4),)), start)
+    with pytest.raises(ValueError, match="the start's objective"):
+        solve_lp_exact(replace(cut, objective=(F(1), F(2))), start)
+    with pytest.raises(ValueError, match="no basis"):
+        solve_lp_exact(cut, LPSolution(status="infeasible"))
 
 
 @given(data=st.data())
@@ -423,7 +534,7 @@ def test_certificate_rejects_a_solution_of_another_shape(x, duals):
     ids=["combined", "scaled-off-support", "scaled-row"],
 )
 def test_pivot_with_a_wrong_denominator_raises(rows):
-    tab = _Tableau(rows, [{}], bcol=2)
+    tab = _Tableau(rows, [{}])
     tab.den = 2
     with pytest.raises(LPError, match="integer pivot lost exactness"):
         tab.pivot(0, 0)
