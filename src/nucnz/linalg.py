@@ -4,10 +4,11 @@ Vectors and matrices are plain sequences of ``fractions.Fraction`` (or ints,
 which coerce exactly).  Everything here is dense; the toolkit never needs
 ambient dimensions beyond a few dozen.
 
-A ``LinearSubspace`` computes its integer kernel once, on first use, by
-fraction-free (Bareiss-style) Gauss-Jordan elimination over integer rows,
-and keeps it; span membership stays a ``Fraction`` reduction against the
-RREF basis, independent of that kernel.
+A ``LinearSubspace`` keeps its RREF basis as primitive integer rows and
+grows it one row at a time; span membership reduces a vector against
+those rows, and the integer kernel is read off them once, on first use,
+and finished by fraction-free (Bareiss-style) Gauss-Jordan elimination.
+No ``Fraction`` is eliminated on either path.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "Rat",
     "parse_rat",
     "rat_str",
-    "rref",
     "rank",
     "LinearSubspace",
     "in_span",
@@ -55,51 +55,10 @@ def rat_str(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _as_row(row: Sequence) -> list[Fraction]:
-    return [Fraction(v) for v in row]
-
-
-def rref(rows: Iterable[Sequence]) -> list[list[Fraction]]:
-    """Reduced row echelon form over Q, zero rows dropped.
-
-    Pivoting takes the first nonzero entry in each column; with exact
-    arithmetic no magnitude heuristics are needed.
-    """
-    mat = [_as_row(r) for r in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    for r in mat:
-        if len(r) != ncols:
-            raise ValueError("ragged matrix")
-    out: list[list[Fraction]] = []
-    pivot_row = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(pivot_row, len(mat)):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[pivot_row], mat[piv] = mat[piv], mat[pivot_row]
-        p = mat[pivot_row][col]
-        mat[pivot_row] = [v / p for v in mat[pivot_row]]
-        for i in range(len(mat)):
-            if i != pivot_row and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(mat):
-            break
-    for r in mat[:pivot_row]:
-        out.append(r)
-    return out
-
-
 def rank(rows: Iterable[Sequence]) -> int:
     """Rank of a rational matrix (list of rows)."""
-    return len(rref(rows))
+    rows = [list(r) for r in rows]
+    return LinearSubspace.from_rows(rows, len(rows[0])).dim if rows else 0
 
 
 def integer_scaled(values: Sequence) -> tuple[list[int], int]:
@@ -112,42 +71,88 @@ def integer_scaled(values: Sequence) -> tuple[list[int], int]:
 
 @dataclass(frozen=True)
 class LinearSubspace:
-    """A linear subspace of R^n, stored as an RREF basis.
+    """A linear subspace of R^n, stored as its RREF basis with each row
+    scaled to a primitive integer vector with positive leading entry.
 
-    ``basis_rows`` are linearly independent; ``dim < ambient_dim`` must hold
-    whenever the subspace is used as an avoidance constraint.
+    That form is canonical, so equal subspaces compare and hash equal.
+    ``basis_rows`` gives the same rows as the usual ``Fraction`` RREF;
+    ``dim < ambient_dim`` must hold whenever the subspace is used as an
+    avoidance constraint.  Build one with ``from_rows``, ``zero`` or
+    ``extended``, which keep ``rows`` in that form and ``pivots`` in step.
     """
 
     ambient_dim: int
-    basis_rows: tuple[tuple[Fraction, ...], ...] = field(default=())
+    rows: tuple[tuple[int, ...], ...] = ()
+    # The pivot column of each row: derived, so not compared or hashed.
+    pivots: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence], ambient_dim: int) -> "LinearSubspace":
-        reduced = rref(list(rows) or [])
-        for r in reduced:
-            if len(r) != ambient_dim:
-                raise ValueError("row length does not match ambient dimension")
-        return LinearSubspace(ambient_dim, tuple(tuple(r) for r in reduced))
+        span = LinearSubspace(ambient_dim)
+        for row in rows:
+            span = span.extended(row)
+        return span
 
     @staticmethod
     def zero(ambient_dim: int) -> "LinearSubspace":
-        return LinearSubspace(ambient_dim, ())
+        return LinearSubspace(ambient_dim)
 
     @property
     def dim(self) -> int:
-        return len(self.basis_rows)
+        return len(self.rows)
+
+    @property
+    def basis_rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, r[p]) for x in r) for r, p in zip(self.rows, self.pivots))
 
     def is_proper(self) -> bool:
         return self.dim < self.ambient_dim
 
+    def _reduced(self, vec: Sequence) -> list[int]:
+        """``vec`` scaled to integers and reduced against every row:
+        lead * v - v[p] * row at each row's pivot p, then divided by the
+        gcd.  It is zero exactly when ``vec`` lies in the subspace."""
+        v = list(vec)
+        if not all(type(x) is int for x in v):
+            v = integer_scaled([Fraction(x) for x in v])[0]
+        if len(v) != self.ambient_dim:
+            raise ValueError(
+                f"dimension mismatch: vector has {len(v)}, subspace ambient {self.ambient_dim}"
+            )
+        for row, p in zip(self.rows, self.pivots):
+            f = v[p]
+            if f:
+                lead = row[p]
+                v = [lead * a - f * b for a, b in zip(v, row)]
+                g = gcd(*v)
+                if g > 1:
+                    v = [a // g for a in v]
+        return v
+
     def contains(self, vec: Sequence) -> bool:
-        return in_span(self, vec)
+        return not any(self._reduced(vec))
 
     def extended(self, vec: Sequence) -> "LinearSubspace":
-        """Subspace spanned by this one plus one more vector."""
-        rows = [list(r) for r in self.basis_rows]
-        rows.append(_as_row(vec))
-        return LinearSubspace.from_rows(rows, self.ambient_dim)
+        """Subspace spanned by this one plus one more vector: the reduced
+        vector, if nonzero, clears its pivot column from the other rows
+        and joins them in pivot order."""
+        v = self._reduced(vec)
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is None:
+            return self
+        g = gcd(*v) if v[p] > 0 else -gcd(*v)
+        v = tuple(a // g for a in v)
+        rows = list(self.rows)
+        for i, row in enumerate(rows):
+            f = row[p]
+            if f:
+                new = [v[p] * a - f * b for a, b in zip(row, v)]
+                g = gcd(*new)
+                rows[i] = tuple(a // g for a in new)
+        at = sum(q < p for q in self.pivots)
+        rows.insert(at, v)
+        pivots = (*self.pivots[:at], p, *self.pivots[at:])
+        return LinearSubspace(self.ambient_dim, tuple(rows), pivots)
 
     @cached_property
     def _integer_kernel(self) -> tuple[tuple[int, ...], ...]:
@@ -157,21 +162,8 @@ class LinearSubspace:
 
 
 def in_span(L: LinearSubspace, vec: Sequence) -> bool:
-    """True iff ``vec`` lies in the span of ``L``'s basis rows.
-
-    Since the basis is kept in RREF, a single reduction pass suffices.
-    """
-    v = _as_row(vec)
-    if len(v) != L.ambient_dim:
-        raise ValueError(
-            f"dimension mismatch: vector has {len(v)}, subspace ambient {L.ambient_dim}"
-        )
-    for row in L.basis_rows:
-        lead = next(i for i, x in enumerate(row) if x != 0)
-        if v[lead] != 0:
-            f = v[lead]
-            v = [a - f * b for a, b in zip(v, row)]
-    return all(x == 0 for x in v)
+    """True iff ``vec`` lies in the span of ``L``'s basis rows."""
+    return L.contains(vec)
 
 
 def integer_kernel_basis(L: LinearSubspace) -> list[tuple[int, ...]]:
@@ -190,21 +182,24 @@ def _kernel_rows(L: LinearSubspace) -> tuple[tuple[int, ...], ...]:
     n = L.ambient_dim
     if not L.is_proper():
         raise ValueError("subspace is the full space; no avoidance possible")
-    # Null space of the basis matrix: pivot/free split from its RREF rows,
-    # one kernel vector per free column, scaled to integers.
-    pivots = [next(i for i, x in enumerate(row) if x != 0) for row in L.basis_rows]
+    # Null space of the basis matrix: one vector per free column j, with
+    # m at j and -row[j] * m / lead at each row's pivot, for m the lcm of
+    # the leading entries, divided by its gcd.
+    pivots = L.pivots
+    m = lcm(*(row[p] for row, p in zip(L.rows, pivots)))
     mat = []
     for j in range(n):
         if j in pivots:
             continue
         v = [0] * n
-        v[j] = 1
-        for row, p in zip(L.basis_rows, pivots):
-            v[p] = -row[j]
-        mat.append(integer_scaled(v)[0])
+        v[j] = m
+        for row, p in zip(L.rows, pivots):
+            v[p] = -row[j] * (m // row[p])
+        g = gcd(*v)
+        mat.append([a // g for a in v])
     # Gauss-Jordan in integers: every row stays primitive and proportional
-    # to the row that ``rref`` would hold (same pivots, same zero pattern),
-    # so a final sign fix gives the RREF row as a primitive integer vector.
+    # to the Fraction RREF row (same pivots, same zero pattern), so a final
+    # sign fix gives the RREF row as a primitive integer vector.
     top = 0
     for col in range(n):
         piv = next((i for i in range(top, len(mat)) if mat[i][col]), None)

@@ -308,14 +308,10 @@ def reference_nucleolus(g: GameOracle) -> NucleolusResult:
     while span.dim < n:
         active = [m for m, out in enumerate(_outside(span, n)) if out]
 
-        rows = []
-        for mask, xs in fixed:
-            rows.append((list(coalition_vector(mask, n)) + [0], "==", table[mask] + xs))
-        rows.append((list(coalition_vector(full, n)) + [0], "==", table[full]))
-        for mask in active:
-            rows.append((list(coalition_vector(mask, n)) + [-1], ">=", table[mask]))
-        obj = [Fraction(0)] * n + [Fraction(1)]
-        sol = solve_lp_exact(LPInstance.maximize(obj, rows))
+        rows = [((*coalition_vector(m, n), 0), "==", table[m] + xs) for m, xs in fixed]
+        rows.append(((*coalition_vector(full, n), 0), "==", table[full]))
+        rows.extend(((*coalition_vector(m, n), -1), ">=", table[m]) for m in active)
+        sol = solve_lp_exact(LPInstance((0,) * n + (1,), tuple(rows), (True,) * (n + 1)))
         if sol.status != "optimal":
             raise MpsError(f"reference level LP came back {sol.status}")
         y = sol.x[:n]
@@ -331,18 +327,14 @@ def reference_nucleolus(g: GameOracle) -> NucleolusResult:
 
         ysum = {m: sum(y[p] for p in range(n) if (m >> p) & 1) for m in active}
         tight = [m for m in active if ysum[m] - table[m] == xi]
-        aux_rows = []
-        for mask, xs in fixed:
-            aux_rows.append((coalition_vector(mask, n), "==", table[mask] + xs))
+        aux_rows = [(coalition_vector(m, n), "==", table[m] + xs) for m, xs in fixed]
         aux_rows.append((coalition_vector(full, n), "==", table[full]))
-        for mask in active:
-            aux_rows.append((coalition_vector(mask, n), ">=", table[mask] + xi))
-        aux = LPInstance.maximize([0] * n, aux_rows)
+        aux_rows.extend((coalition_vector(m, n), ">=", table[m] + xi) for m in active)
+        aux = LPInstance((0,) * n, tuple(aux_rows), (True,) * n)
         pinned = []
         start = None
         for mask in tight:
-            aux_obj = tuple(Fraction(v) for v in coalition_vector(mask, n))
-            start = solve_lp_exact(replace(aux, objective=aux_obj), start)
+            start = solve_lp_exact(replace(aux, objective=coalition_vector(mask, n)), start)
             if start.status != "optimal":
                 raise MpsError(f"reference pinning LP came back {start.status}")
             if start.objective == table[mask] + xi:

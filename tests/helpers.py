@@ -429,6 +429,34 @@ def brute_lp_max(objective, rows, free):
     return best
 
 
+def rref(rows):
+    """Reduced row echelon form over Q, zero rows dropped: the Fraction
+    elimination that the package's integer echelon must reproduce.
+    Pivoting takes the first nonzero entry in each column."""
+    mat = [[F(v) for v in r] for r in rows]
+    if not mat:
+        return []
+    ncols = len(mat[0])
+    if any(len(r) != ncols for r in mat):
+        raise ValueError("ragged matrix")
+    top = 0
+    for col in range(ncols):
+        piv = next((i for i in range(top, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[top], mat[piv] = mat[piv], mat[top]
+        p = mat[top][col]
+        mat[top] = [v / p for v in mat[top]]
+        for i in range(len(mat)):
+            if i != top and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[top])]
+        top += 1
+        if top == len(mat):
+            break
+    return mat[:top]
+
+
 def rref_kernel_basis(basis_rows, n):
     """Integer kernel of the span of ``basis_rows`` (an RREF basis in R^n)
     the way it was first computed: one Fraction kernel vector per free

@@ -6,7 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import nucnz.linalg
-from helpers import rref_kernel_basis
+from helpers import rref, rref_kernel_basis
 from nucnz.linalg import (
     LinearSubspace,
     fold_kernel,
@@ -80,7 +80,7 @@ def test_kernel_orthogonality_and_rank_random():
             for b in L.basis_rows:
                 assert sum(x * y for x, y in zip(a, b)) == 0
         combined = [list(b) for b in L.basis_rows] + [list(a) for a in ker]
-        assert rank(combined) == n
+        assert len(rref(combined)) == n
 
 
 @pytest.mark.parametrize("span", ["any", "empty", "one off full"])
@@ -126,8 +126,46 @@ def test_in_span_matches_rank_test():
         rows = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(rng.randint(0, n))]
         L = LinearSubspace.from_rows(rows, n)
         x = [F(rng.randint(-3, 3)) for _ in range(n)]
-        brute = rank([list(r) for r in L.basis_rows] + [x]) == L.dim
+        brute = len(rref([list(r) for r in L.basis_rows] + [x])) == L.dim
         assert in_span(L, x) == brute
+
+
+def test_wrong_length_rows_are_refused():
+    # An all-zero row reduces to nothing, so its length is checked first.
+    with pytest.raises(ValueError, match="^dimension mismatch"):
+        LinearSubspace.from_rows([[0, 0]], 3)
+    with pytest.raises(ValueError, match="^dimension mismatch"):
+        LinearSubspace.from_rows([[1, 0, 0], [0, 1]], 3)
+    with pytest.raises(ValueError, match="^dimension mismatch: vector has 2, subspace ambient 3$"):
+        LinearSubspace.zero(3).extended([1, 0])
+    with pytest.raises(ValueError, match="^dimension mismatch"):
+        LinearSubspace.from_rows([[1, 1, 0]], 3).extended([0, 0, 0, 1])
+
+
+@given(data=st.data())
+def test_integer_echelon_matches_the_fraction_rref_referee(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    entry = data.draw(
+        st.sampled_from([st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)]),
+        label="entries",
+    )
+    vector = st.lists(entry, min_size=n, max_size=n)
+    rows = data.draw(st.lists(vector, max_size=n + 1), label="rows")
+    x = data.draw(vector, label="x")
+    L = LinearSubspace.from_rows(rows, n)
+    assert L.basis_rows == tuple(tuple(r) for r in rref(rows))
+    assert rank(rows) == L.dim == len(rref(rows))
+    # Folding the rows one at a time, in any order, lands on the same
+    # canonical rows.
+    M = LinearSubspace.zero(n)
+    for row in data.draw(st.permutations(rows), label="order"):
+        M = M.extended(row)
+    assert M == L and hash(M) == hash(L)
+    inside = len(rref(rows + [x])) == len(rref(rows))
+    assert L.contains(x) == inside
+    assert (L.extended(x) == L) == inside
+    for r in rows:
+        assert L.extended(r) == L and hash(L.extended(r)) == hash(L)
 
 
 @pytest.mark.parametrize("kernel", ["one vector", "n vectors", "any"])

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import nucnz.mps
-from nucnz.fixtures import random_monotone_game
+from nucnz.fixtures import random_graph, random_monotone_game
 from nucnz.games import (
     CapExceededError,
     GameOracle,
@@ -15,6 +15,7 @@ from nucnz.games import (
 )
 from nucnz.linalg import LinearSubspace
 from nucnz.lp import LPSolution
+from nucnz.matroids import ArboricityGame, arboricity_lsa_solver
 from nucnz.mps import MpsError, least_core, mps_nucleolus, reference_nucleolus
 
 
@@ -246,3 +247,19 @@ def test_ref6_traces_are_pinned():
             {"xi": "-19/2", "fixed": [18], "duals": {"18": "1/2", "53": "1/2"}},
         ],
     }
+
+
+def test_arbor12_oracle_trace_is_pinned():
+    # The coalitions fixed at each level depend on the span bookkeeping, the
+    # cut order and the pivot path, none of which can move the allocation;
+    # only the trace shows a change in them.
+    g = random_graph(6, 12, 3)
+    result = mps_nucleolus(ArboricityGame(g), mode="oracle", sep=arboricity_lsa_solver(g))
+    assert [(rec.xi, rec.fixed) for rec in result.trace] == [
+        (0, (512, 1535)),
+        (0, (2, 64, 525, 529, 1442)),
+        (0, (38, 1410)),
+        (0, (130,)),
+        (0, (258,)),
+    ]
+    assert result.allocation == tuple(F(int(e in (1, 6, 9, 11))) for e in range(12))
