@@ -65,8 +65,11 @@ def integer_scaled(values: Sequence) -> tuple[list[int], int]:
     """Rationals as integer numerators over one positive denominator:
     returns (the values times d, d) for d the lcm of their denominators.
     The integers keep the order of the values, so the same optima."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    dens = [v.denominator for v in values]
+    den = lcm(*dens)
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
 @dataclass(frozen=True)

@@ -1,49 +1,64 @@
-"""Exact rational LP solving: two-phase simplex with integer pivoting.
+"""Exact rational LP solving: a revised simplex on a square integer basis.
 
-The tableau has one column per variable (free variables are not split),
-one unit column per row (a slack on an inequality, an artificial on an
-equality), one phase-1 helper column, then b.  Each free variable is
-pivoted once into a row that holds none yet; that row takes no part in
-any ratio test, so the variable never leaves.  The helper then covers
-every row whose basic value is negative and enters at the most negative
-one, which makes the basis feasible, and phase 1 minimizes the helper
-plus the artificials still basic.  Only then is the objective priced out
-against the feasible basis, and phase 2 runs.  The duals are the reduced
-costs of the unit columns at the optimum.
+Every constraint is held as a row a . x <= b with a slack b - a . x >= 0:
+row i scaled to integers (negated on ">=", and relaxed by a slack only
+until an equality is tight), the bound x_j >= 0 of a variable that is not
+free, and the bound x_j = 0 that a free variable keeps until it takes a
+row.  A vertex is fixed by one tight constraint per variable, the rows of
+the square matrix M.  The basis holds Q = den M^-1 in integers, with
+den = |det M|, then Z = Q b_M (so x = Z / den), and for the objective c
+being priced the reduced costs nu = c Q and c . Z.  When the constraint of
+row a joins M in place of tight constraint k, with w = a Q, every other
+column becomes (|w_k| q_j - sign(w_k) w_j q_k) / den, a Bareiss step in
+which each division is checked to be exact.  The basis also keeps each
+loose constraint's slack times den, den b - a . Z, which the same step
+carries with the loose rows' a q_k.  A loose row's other entries, a Q,
+are computed only for the row that joins M, and every such product reads
+only the nonzeros of one side.  Keys order the constraints as a tableau
+orders its columns: the bound of variable j is j, row i is n + i, and
+the phase-1 helper last.
 
-An optimal solution keeps its final tableau, and a later solve can start
-from it (``start=``), copying it so that no solution is ever changed:
+A cold solve starts with every variable at its bound.  Each free variable
+in turn takes a row of its own, by one Bareiss step: an inequality before
+an equality, then the smallest |slack / entry|, then the lowest row.  (Of
+the rules tried, this one left the fewest LP solves in the nucleolus
+schemes.)  A free variable that no row holds keeps x_j = 0, and is a free
+ray if it has a cost.  Phase 1 adds a helper h >= 0 to every violated row
+and brings it in at the most violated one, which makes the vertex
+feasible, then minimizes h plus the slacks of the loose equalities.  A
+tight equality never leaves M.  Loose constraints at zero that must not
+stay loose (the helper and equalities) then join M in place of the lowest
+key with an entry that may leave, and h goes once its bound is tight.
+
+The primal simplex (phase 1, then phase 2 on the objective) takes the
+tight constraint of least nu_k < 0 out of M, ties to the lowest key
+(Dantzig's rule, then Bland's for good after a fixed number of
+iterations, which terminates), and the loose one whose slack runs out
+first joins it, ties to the lowest key.  Optimal solutions come with exact
+duals, nu_k over den on each tight row, and a strong duality certificate
+is checked before returning.  The check reads only the instance and the
+returned solution, never the basis, and runs in integers: x and the duals
+over one denominator each, and each row scaled by the lcm of its own
+denominators, once per row while each rows tuple extends the one checked
+before.
+
+An optimal solution keeps its basis, and a later solve can start from it
+(``start=``), copying it so that no solution is ever changed:
 
 * over the same rows with another objective: a feasible basis stays
-  feasible under any objective, so the solve prices its own objective out
-  and runs phase 2 only;
+  feasible under any objective, so the solve prices its own objective and
+  runs phase 2 only;
 * over these rows plus appended inequalities, under the same objective:
-  each new row is reduced against the basis with its slack basic, which
-  keeps the basis dual feasible, and Lemke's dual simplex restores primal
-  feasibility.  The most negative basic value leaves; the least ratio
-  cost_j / |a_rj| enters, ties to the largest |a_rj| and then the lowest
-  column.  After a fixed number of iterations the dual Bland rule (lowest
-  basic column leaves, lowest column enters among ties) takes over for
-  good, which terminates.
+  each new row starts loose, which keeps nu dual feasible, and Lemke's
+  dual simplex restores primal feasibility.  The most negative slack joins
+  M; the least ratio nu_k / w_k over w_k > 0 leaves, ties to the largest
+  w_k and then the lowest key.  After a fixed number of iterations the
+  dual Bland rule (the lowest key joins, the lowest key leaves among ties)
+  takes over for good, which terminates.
 
-A cold solve differs only in where its basis comes from.
-
-The tableau holds arbitrary-precision integers with a single running
-denominator (the previous pivot, as in Bareiss elimination), so no
-rational normalization happens in the hot loop, every division is
-checked to be exact and every intermediate quantity is exact.  Each row,
-the cost rows included, is a dict from column to nonzero entry, and a
-pivot touches only nonzeros: the unit columns make a dense tableau
-mostly zeros (on the all-coalition LPs of ``reference_nucleolus`` about
-nine entries in ten that a pivot passes over).  A Dantzig
-pivot rule is used first for speed and the solver switches permanently
-to Bland's rule after a fixed number of iterations, which guarantees
-termination.  Optimal solutions come with exact duals, and a strong
-duality certificate is checked before returning.  The check reads only
-the instance and the returned solution, never the tableau, and runs in
-integers: x and the duals over one denominator each, and each row scaled
-by the lcm of its own denominators, once per row while each rows tuple
-extends the one checked before.
+Among equal slacks the first in ``rest`` joins M.  ``rest`` lists the
+loose constraints in the order a tableau holds the rows they are basic
+in: a constraint that leaves M takes the place of the one that joins it.
 """
 
 from __future__ import annotations
@@ -51,6 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .linalg import integer_scaled
@@ -59,15 +75,15 @@ __all__ = ["LPInstance", "LPSolution", "LPError", "solve_lp_exact"]
 
 SENSES = ("==", "<=", ">=")
 
-# Column keys of b and of the phase-1 helper.  Row i's unit column is n + i,
-# and neither key can be one: b sorts before every column, and the helper
-# after every unit column, as no list holds 2**63 rows.  So rows appended
-# to a basis take their unit columns without moving either.
-_B = -1
+# Key of the phase-1 helper's bound h >= 0.  No list holds 2**63 rows, so
+# it sorts after every row's key, and appended rows never reach it.
 _HELPER = 1 << 63
 
 # Dual simplex iterations before the dual Bland rule takes over for good.
 DUAL_BLAND_AFTER = 50
+
+# Every zero entry of a solution's x and duals is this one Fraction.
+_ZERO = Fraction(0)
 
 
 class LPError(RuntimeError):
@@ -131,207 +147,196 @@ class LPSolution:
     basis: _Basis | None = field(default=None, compare=False, repr=False)
 
 
-class _Tableau:
-    """Integer simplex tableau with a shared denominator.  Each row is a
-    dict from column to its nonzero entries; column ``_B`` holds b."""
-
-    def __init__(self, rows: list[dict[int, int]], costs: list[dict[int, int]]):
-        self.rows = rows
-        self.costs = costs
-        self.den = 1
-
-    def pivot(self, r: int, c: int) -> None:
-        # Bareiss step with the pivot's sign folded in, so that the shared
-        # denominator stays positive: every other row becomes
-        # (|p| row - sign(p) f rowr) / den, and each division must be exact.
-        # A column outside rowr's support is only scaled; one inside it is
-        # combined and dropped if it cancels (column c always does).  A row
-        # with f == 0 is unchanged when |p| == den.
-        den = self.den
-        rowr = self.rows[r]
-        p = rowr[c]
-        sign = -1 if p < 0 else 1
-        p *= sign
-        pivot_items = list(rowr.items())
-        for block in (self.rows, self.costs):
-            for row in block:
-                if row is rowr:
-                    continue
-                f = row.get(c, 0) * sign
-                if f:
-                    for j, v in row.items():
-                        if j not in rowr:
-                            q, rem = divmod(p * v, den)
-                            if rem:
-                                raise LPError("integer pivot lost exactness")
-                            row[j] = q
-                    for j, v in pivot_items:
-                        v = p * row.get(j, 0) - f * v
-                        if v:
-                            q, rem = divmod(v, den)
-                            if rem:
-                                raise LPError("integer pivot lost exactness")
-                            row[j] = q
-                        elif j in row:
-                            del row[j]
-                elif p != den:
-                    for j, v in row.items():
-                        q, rem = divmod(p * v, den)
-                        if rem:
-                            raise LPError("integer pivot lost exactness")
-                        row[j] = q
-        if sign < 0:
-            for j, v in pivot_items:
-                rowr[j] = -v
-        self.den = p
-
-
 class _Basis:
-    """A simplex basis of one instance's rows, feasible once phase 1 is
-    done: the instance's rows (matched row by row by identity), its free
-    flags, the objective the cost row prices, the tableau, the basic column
-    of each row, the rows without a free variable (the only ones in a ratio
-    test), the columns the simplex may enter and the sign and scale of each
-    row.  It is a plain class: a dataclass would add its construction to
-    every import of the package."""
+    """A square basis of one instance's constraints, feasible once phase 1
+    is done: the instance's rows (matched row by row by identity), its free
+    flags, the objective nu prices, each key's (a, b), the sign and scale of
+    each row, the keys that may leave M, the key of each row of M, the loose
+    keys in tableau order and their slacks times den, den, and the columns
+    of Q, each with its nu_k last, followed by Z with c . Z last.  It is a
+    plain class: a dataclass would add its construction to every import of
+    the package."""
 
-    def __init__(self, rows, free, objective, tab, basis, rest, structural, orient):
+    def __init__(self, rows, free, objective, cons, orient, allowed, tight, rest, slack, den, cols):
         self.rows, self.free, self.objective = rows, free, objective
-        self.tab, self.basis, self.rest = tab, basis, rest
-        self.structural, self.orient = structural, orient
+        self.cons, self.orient, self.allowed = cons, orient, allowed
+        self.tight, self.rest, self.slack = tight, rest, slack
+        self.den, self.cols = den, cols
 
     def copy(self) -> "_Basis":
-        tab = _Tableau([dict(r) for r in self.tab.rows], [dict(r) for r in self.tab.costs])
-        tab.den = self.tab.den
         return _Basis(
-            self.rows, self.free, self.objective, tab, list(self.basis),
-            self.rest, self.structural, self.orient,
+            self.rows, self.free, self.objective, dict(self.cons), self.orient,
+            set(self.allowed), list(self.tight), list(self.rest), list(self.slack),
+            self.den, [list(col) for col in self.cols],
         )
+
+    def weights(self, key: int) -> list[int]:
+        """w = a Q of constraint ``key``, then minus den times its slack."""
+        a, b = self.cons[key]
+        w = _dots(self.cols, a)
+        w[-1] -= self.den * b
+        return w
+
+    def rates(self, k: int) -> list[int]:
+        """a q_k of each loose constraint: minus its entry in column k."""
+        return _dots([self.cons[key][0] for key in self.rest], self.cols[k][:-1])
+
+    def swap(self, k: int, i: int, w: list[int], rates: list[int] | None = None) -> None:
+        """Loose constraint rest[i], with weights w, becomes row k of M, and
+        the constraint there takes its place in ``rest``."""
+        if rates is None:
+            rates = self.rates(k)
+        den, slack = self.den, self.slack
+        f = slack[i] if w[k] > 0 else -slack[i]
+        p = self.den = _bareiss(self.cols, den, k, w)
+        # den b - a . Z follows Z; the constraint leaving M has a q_k = den.
+        self.slack = _combine(p, slack, f, rates, den)
+        self.slack[i] = -f
+        self.rest[i], self.tight[k] = self.tight[k], self.rest[i]
+
+    def price(self, c: Sequence[int]) -> None:
+        for col, v in zip(self.cols, _dots(self.cols, c)):
+            col[-1] = v
 
     def append(self, rows: tuple) -> None:
         """Extend the basis to ``rows``, which continue ``self.rows`` with
-        inequalities.  Each new row enters as den a - sum_r a_basis[r] row_r
-        with its slack basic at den: its entries are minors of the bordered
-        matrix, so every later Bareiss division stays exact.  The cost row
-        keeps its entries, as a slack costs nothing.  A row with an entry in
-        a free column that found no row takes that column at once, as in a
-        cold solve."""
-        tab, basis, n = self.tab, self.basis, len(self.free)
+        inequalities.  Each new row starts loose, unless it holds a free
+        variable that no row holds yet: then the row takes the lowest such
+        variable's place in M for good, as in a cold solve."""
+        n, tight, rest = len(self.free), self.tight, self.rest
+        scaled = _integer_rows(rows)[0]
         for i in range(len(self.rows), len(rows)):
-            a, rho = _integer_row(n, i, *rows[i])
-            row = {j: tab.den * v for j, v in a.items()}
-            for r, j in enumerate(basis):
-                f = a.get(j) if j < n else None
-                if f:
-                    for k, v in tab.rows[r].items():
-                        row[k] = row.get(k, 0) - f * v
-            # Every basic column cancels, so a free column left in the row
-            # is one that found no row.
-            row = {j: v for j, v in row.items() if v}
-            tab.rows.append(row)
-            basis.append(n + i)
-            free = next((j for j in range(n) if self.free[j] and j in row), None)
-            if free is None:
-                self.rest += (i,)
-            else:
-                tab.pivot(i, free)
-                basis[i] = free
-            self.structural += (n + i,)
+            a, b, rho = _oriented(rows[i][1], *scaled[i])
+            key = n + i
+            self.cons[key] = (a + (0,) * (len(tight) - n), b)
             self.orient += (rho,)
+            self.allowed.add(key)
+            w = self.weights(key)
+            rest.append(key)
+            self.slack.append(-w[-1])
+            at_bound = [(j, k) for k, j in enumerate(tight) if j < n and self.free[j] and w[k]]
+            if at_bound:
+                self.swap(min(at_bound)[1], len(rest) - 1, w)
+                del rest[-1], self.slack[-1]
         self.rows = rows
 
-    def dual(self, cost_row: dict[int, int]) -> str:
-        """Lemke's dual simplex from a basis that ``cost_row`` prices dual
-        feasible: "optimal" once no row of ``rest`` has a negative basic
-        value, "infeasible" when such a row has no entry that may enter."""
-        tab, basis, rows = self.tab, self.basis, self.tab.rows
-        allowed = set(self.structural)
+    def dual(self) -> str:
+        """Lemke's dual simplex from a basis that nu prices dual feasible:
+        "optimal" once no loose constraint has a negative slack,
+        "infeasible" when such a constraint has no entry that may leave."""
+        cols, tight, rest, allowed = self.cols, self.tight, self.rest, self.allowed
         iters = 0
         while True:
             iters += 1
             if iters > 500000:
                 raise LPError("dual simplex iteration cap exceeded")
             bland = iters > DUAL_BLAND_AFTER
-            negative = [i for i in self.rest if rows[i].get(_B, 0) < 0]
-            if not negative:
+            slack = self.slack
+            low = min(slack, default=0)
+            if low >= 0:
                 return "optimal"
             if bland:
-                r = min(negative, key=basis.__getitem__)
+                i = rest.index(min(key for key, v in zip(rest, slack) if v < 0))
             else:
-                r = min(negative, key=lambda i: rows[i][_B])
-            # The least ratio cost_j / |a_rj| over a_rj < 0; ties go to the
-            # largest |a_rj| (not under Bland), then to the lowest column.
-            c = None
-            for j, a in rows[r].items():
-                if a < 0 and j in allowed:
-                    if c is None:
-                        c, cost_c, a_c = j, cost_row.get(j, 0), -a
+                i = slack.index(low)
+            w = self.weights(rest[i])
+            # The least ratio nu_k / w_k over w_k > 0; ties go to the
+            # largest w_k (not under Bland), then to the lowest key.
+            k = None
+            for j, key in enumerate(tight):
+                wj = w[j]
+                if wj > 0 and key in allowed:
+                    if k is None:
+                        k, nu_k, w_k = j, cols[j][-1], wj
                         continue
-                    lhs, rhs = cost_row.get(j, 0) * a_c, cost_c * -a
+                    lhs, rhs = cols[j][-1] * w_k, nu_k * wj
                     if lhs < rhs or lhs == rhs and (
-                        j < c if bland or -a == a_c else -a > a_c
+                        key < tight[k] if bland or wj == w_k else wj > w_k
                     ):
-                        c, cost_c, a_c = j, cost_row.get(j, 0), -a
-            if c is None:
+                        k, nu_k, w_k = j, cols[j][-1], wj
+            if k is None:
                 return "infeasible"
-            tab.pivot(r, c)
-            basis[r] = c
+            self.swap(k, i, w)
 
-    def run(self, cost_row: dict[int, int], allowed: Sequence[int]) -> str:
-        """Pivot on ``cost_row`` until it is optimal or a column is
-        unbounded: Dantzig's rule first, then Bland's for good, which
-        terminates."""
-        tab, basis = self.tab, self.basis
-        # m rows plus n + m + 1 columns: variables, unit columns, helper.
-        bland_after = 100 + 10 * (2 * len(tab.rows) + len(self.free) + 1)
+    def run(self, allowed) -> str:
+        """Primal simplex on nu until it is optimal or a ray is unbounded:
+        Dantzig's rule first, then Bland's for good, which terminates."""
+        cols, tight, rest = self.cols, self.tight, self.rest
+        bland_after = 100 + 10 * (2 * len(self.rows) + len(self.free) + 1)
         iters = 0
         while True:
             iters += 1
             if iters > 500000:
                 raise LPError("simplex iteration cap exceeded")
-            c = _choose_entering(cost_row, allowed, bland=iters > bland_after)
-            if c is None:
+            bland = iters > bland_after
+            k = None
+            for j, key in enumerate(tight):
+                v = cols[j][-1]
+                if v < 0 and key in allowed:
+                    rank = key if bland else (v, key)
+                    if k is None or rank < best:
+                        k, best = j, rank
+            if k is None:
                 return "optimal"
-            r = _choose_leaving(tab, c, basis, self.rest)
+            # Leaving M raises slack k, which runs every loose slack down at
+            # rate -a q_k over den: the least ratio joins M, ties to the
+            # lowest key.
+            rates, slack = self.rates(k), self.slack
+            r = None
+            for i, rate in enumerate(rates):
+                if rate < 0:
+                    s, t = slack[i], -rate
+                    if r is None or s * r_t < r_s * t or s * r_t == r_s * t and rest[i] < rest[r]:
+                        r, r_s, r_t = i, s, t
             if r is None:
                 return "unbounded"
-            tab.pivot(r, c)
-            basis[r] = c
+            self.swap(k, r, self.weights(rest[r]), rates)
 
 
-def _choose_entering(cost: dict[int, int], allowed: Sequence[int], bland: bool) -> int | None:
-    if bland:
-        for j in allowed:
-            if cost.get(j, 0) < 0:
-                return j
-        return None
-    best = None
-    best_v = 0
-    for j in allowed:
-        v = cost.get(j, 0)
-        if v < best_v:
-            best_v = v
-            best = j
-    return best
+def _dots(vectors: list, x: Sequence[int]) -> list[int]:
+    """[v . x for v in vectors], reading each v only where x is nonzero."""
+    nonzero = [i for i, u in enumerate(x) if u]
+    if len(nonzero) > 1:
+        get, vals = itemgetter(*nonzero), [x[i] for i in nonzero]
+        return [sum(map(mul, get(v), vals)) for v in vectors]
+    if nonzero:
+        i = nonzero[0]
+        return [v[i] * x[i] for v in vectors]
+    return [0] * len(vectors)
 
 
-def _choose_leaving(tab: _Tableau, c: int, basis: list[int], rest: Sequence[int]) -> int | None:
-    best = None
-    best_b = 0
-    best_t = 0
-    for i in rest:
-        row = tab.rows[i]
-        t = row.get(c, 0)
-        if t > 0:
-            b = row.get(_B, 0)
-            if best is None:
-                best, best_b, best_t = i, b, t
-            else:
-                lhs = b * best_t
-                rhs = best_b * t
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
-                    best, best_b, best_t = i, b, t
-    return best
+def _bareiss(cols: list[list[int]], den: int, k: int, w: list[int]) -> int:
+    """Column k of ``cols`` meets pivot w_k: column k takes its sign, and
+    every other column j becomes (|w_k| col_j - w_j col_k) / den, each
+    division checked to be exact.  Returns the new den, |w_k|."""
+    p = w[k]
+    pivot = cols[k] = cols[k] if p > 0 else [-v for v in cols[k]]
+    p = abs(p)
+    if p == den:
+        # Then only the entries beside a nonzero of column k move.
+        nonzero = [(i, u) for i, u in enumerate(pivot) if u]
+        for j, f in enumerate(w):
+            if f and j != k:
+                col = cols[j]
+                for i, u in nonzero:
+                    q, r = divmod(f * u, den)
+                    if r:
+                        raise LPError("integer pivot lost exactness")
+                    col[i] -= q
+        return p
+    for j, f in enumerate(w):
+        if j != k:
+            cols[j] = _combine(p, cols[j], f, pivot, den)
+    return p
+
+
+def _combine(p: int, a: list[int], f: int, b: list[int], den: int) -> list[int]:
+    """(p a - f b) / den for den > 0, checked to be exact: floor division
+    leaves remainders in [0, den), which are all zero when they sum to 0."""
+    quo = [(p * v - f * u) // den for v, u in zip(a, b)]
+    if p * sum(a) - f * sum(b) != den * sum(quo):
+        raise LPError("integer pivot lost exactness")
+    return quo
 
 
 def solve_lp_exact(lp: LPInstance, start: LPSolution | None = None) -> LPSolution:
@@ -342,16 +347,15 @@ def solve_lp_exact(lp: LPInstance, start: LPSolution | None = None) -> LPSolutio
     ``start`` is an optimal solution with the same ``free`` flags over a
     prefix of ``lp.rows`` (the same row objects, in order).  The solve
     copies its basis in place of phase 1.  Over all of the rows, it prices
-    its own objective out and runs phase 2 only.  Otherwise the objective
-    must be the start's and the appended rows inequalities: they join the
-    basis with their slacks basic, and the dual simplex re-optimizes, with
-    the dual Bland rule after ``DUAL_BLAND_AFTER`` iterations.  Any other
-    start raises ``ValueError``.
+    its own objective and runs phase 2 only.  Otherwise the objective must
+    be the start's and the appended rows inequalities: they join the basis
+    loose, and the dual simplex re-optimizes, with the dual Bland rule after
+    ``DUAL_BLAND_AFTER`` iterations.  Any other start raises ``ValueError``.
     """
     appended = ()
     if start is None:
-        feasible = _feasible_basis(lp)
-        if feasible is None:
+        basis = _cold_basis(lp)
+        if basis is None:
             return LPSolution(status="infeasible")
     elif start.basis is None:
         raise ValueError(f"a {start.status} solution has no basis to start from")
@@ -368,167 +372,140 @@ def solve_lp_exact(lp: LPInstance, start: LPSolution | None = None) -> LPSolutio
             raise ValueError("rows can be appended only under the start's objective")
         if any(sense == "==" for _, sense, _ in appended):
             raise ValueError("an appended row must be an inequality")
-        feasible = start.basis.copy()
+        basis = start.basis.copy()
 
     n = lp.n_vars
     m = len(lp.rows)
-    tab, basis = feasible.tab, feasible.basis
     scaled, sigma = integer_scaled(lp.objective)
     if appended:
-        feasible.append(lp.rows)
-        cost2 = tab.costs[0]
-        if feasible.dual(cost2) == "infeasible":
+        basis.append(lp.rows)
+        if basis.dual() == "infeasible":
             return LPSolution(status="infeasible")
     else:
-        # Phase-2 cost row: minimize -sigma * objective.  Over the running
-        # denominator it is den c - sum_r c_basis[r] rows[r], which is the
-        # row the pivots so far would have made of c, because Bareiss keeps
-        # every basic column at den.
-        den = tab.den
-        cost2 = {j: -den * v for j, v in enumerate(scaled) if v}
-        for r, j in enumerate(basis):
-            if j < n and scaled[j]:
-                for k, v in tab.rows[r].items():
-                    cost2[k] = cost2.get(k, 0) + scaled[j] * v
-        cost2 = {j: v for j, v in cost2.items() if v}
-        tab.costs = [cost2]
-        feasible.objective = lp.objective
-
-        # A free variable that found no row has a zero column in every row
-        # left to the simplex: if it still has a cost, it is a free ray.
-        basic = set(basis)
-        if any(j in cost2 for j in range(n) if lp.free[j] and j not in basic):
+        basis.price(scaled)
+        basis.objective = lp.objective
+        # A free variable that no row holds has a zero entry in every loose
+        # constraint: if it still has a cost, it is a free ray.
+        cols = basis.cols
+        if any(cols[k][-1] for k, j in enumerate(basis.tight) if j < n and lp.free[j]):
             return LPSolution(status="unbounded")
-    if feasible.run(cost2, feasible.structural) == "unbounded":
+    if basis.run(basis.allowed) == "unbounded":
         return LPSolution(status="unbounded")
 
-    rows = tab.rows
-    den = tab.den
-    x = [Fraction(0)] * n
-    for r, j in enumerate(basis):
-        if j < n:
-            x[j] = Fraction(rows[r].get(_B, 0), den)
-    objective = sum((cj * xj for cj, xj in zip(lp.objective, x)), Fraction(0))
-    # The reduced cost of row i's unit column is minus its dual in the
-    # scaled, oriented, minimizing form.
-    orient = feasible.orient
-    duals = tuple(Fraction(cost2.get(n + i, 0) * orient[i], den * sigma) for i in range(m))
-
+    cols, den = basis.cols, basis.den
+    z = cols[-1]
+    x = tuple(Fraction(z[j], den) if z[j] else _ZERO for j in range(n))
+    duals = [_ZERO] * m
+    for k, key in enumerate(basis.tight):
+        if cols[k][-1] and n <= key < n + m:
+            duals[key - n] = Fraction(cols[k][-1] * basis.orient[key - n], den * sigma)
     sol = LPSolution(
-        status="optimal", x=tuple(x), duals=duals, objective=objective, basis=feasible
+        status="optimal", x=x, duals=tuple(duals),
+        objective=Fraction(z[-1], den * sigma), basis=basis,
     )
     _verify_certificate(lp, sol)
     return sol
 
 
-def _feasible_basis(lp: LPInstance) -> _Basis | None:
-    """Free-variable pivots, phase 1 and the drive-out: a feasible basis of
-    ``lp.rows``, or None if the rows are infeasible."""
-    n = lp.n_vars
-    m = len(lp.rows)
-
-    rows: list[dict[int, int]] = []
-    orient: list[int] = []
-    for i, row in enumerate(lp.rows):
-        row, rho = _integer_row(n, i, *row)
-        rows.append(row)
+def _cold_basis(lp: LPInstance) -> _Basis | None:
+    """Free-variable rows, phase 1 and the swap-in of loose zeros: a
+    feasible basis of ``lp.rows``, or None if the rows are infeasible."""
+    n, free = lp.n_vars, lp.free
+    cons = {j: ((0,) * j + (-1,) + (0,) * (n - 1 - j), 0) for j in range(n)}
+    orient, equality = [], []
+    for i, ((_, sense, _), scaled) in enumerate(zip(lp.rows, _integer_rows(lp.rows)[0])):
+        a, b, rho = _oriented(sense, *scaled)
+        cons[n + i] = (a, b)
         orient.append(rho)
-    tab = _Tableau(rows, [])
-    basis = [n + i for i in range(m)]
-    equality = [sense == "==" for _, sense, _ in lp.rows]
-    structural = [j for j in range(n) if not lp.free[j]]
-    structural += [n + i for i in range(m) if not equality[i]]
-    artificial = {n + i for i in range(m) if equality[i]}
-
-    # Each free variable enters once, in a row that holds none yet, and
-    # never leaves: its row takes no part in any ratio test.
-    rest = list(range(m))
-    for j in range(n):
-        if lp.free[j]:
-            r = _free_row(tab, rest, j, equality)
-            if r is not None:
-                tab.pivot(r, j)
-                basis[r] = j
-                rest.remove(r)
-    feasible = _Basis(
-        lp.rows, lp.free, lp.objective, tab, basis, tuple(rest), tuple(structural), tuple(orient)
+        equality.append(sense == "==")
+    allowed = {j for j in range(n) if not free[j]}
+    allowed.update(n + i for i, eq in enumerate(equality) if not eq)
+    # Every variable at its bound: M = -I, so Q = -I and Z = 0.
+    cols = [[0] * (n + 1) for _ in range(n + 1)]
+    for k in range(n):
+        cols[k][k] = -1
+    rest = [n + i for i in range(len(lp.rows))]
+    basis = _Basis(
+        lp.rows, free, None, cons, tuple(orient), allowed, list(range(n)), rest,
+        [cons[key][1] for key in rest], 1, cols,
     )
 
-    # Phase 1: the helper column covers every row with a negative basic
-    # value and enters at the most negative one; then minimize the helper
-    # plus the basic artificials.
-    negative = [i for i in rest if rows[i].get(_B, 0) < 0]
-    held = [i for i in rest if basis[i] in artificial]
-    if negative or any(_B in rows[i] for i in held):
-        den = tab.den
-        for i in negative:
-            rows[i][_HELPER] = -den
-        cost1 = {_HELPER: den}
-        for i in held:
-            for j, v in rows[i].items():
-                cost1[j] = cost1.get(j, 0) - v
-            cost1[basis[i]] = cost1.get(basis[i], 0) + den
-        cost1 = {j: v for j, v in cost1.items() if v}
-        tab.costs.append(cost1)
+    # Each free variable in turn takes a loose row with an entry in its
+    # column, and its bound leaves for good.
+    for j in range(n):
+        if free[j]:
+            rates, slack = basis.rates(j), basis.slack
+            best = None
+            for i, t in enumerate(rates):
+                if t:
+                    eq, s, t = equality[rest[i] - n], abs(slack[i]), abs(t)
+                    if best is None or (eq, s * best_t) < (best_eq, best_s * t):
+                        best, best_eq, best_s, best_t = i, eq, s, t
+            if best is not None:
+                basis.swap(j, best, basis.weights(rest[best]), rates)
+                del rest[best], basis.slack[best]
+
+    # Phase 1: the helper relaxes every violated row and comes in at the
+    # most violated one; then minimize it plus the loose equalities' slacks.
+    slack = basis.slack
+    negative = {key for key, v in zip(rest, slack) if v < 0}
+    held = [key for key in rest if equality[key - n]]
+    if negative or any(v for key, v in zip(rest, slack) if equality[key - n]):
+        plain = dict(cons)
         if negative:
-            r = min(negative, key=lambda i: rows[i][_B])
-            tab.pivot(r, _HELPER)
-            basis[r] = _HELPER
-        if feasible.run(cost1, structural + [_HELPER]) != "optimal":
+            for key, (a, b) in plain.items():
+                cons[key] = ((*a, -1 if key in negative else 0), b)
+            cons[_HELPER] = ((0,) * n + (-1,), 0)
+            for col in cols:
+                col.insert(n, 0)
+            cols.insert(n, [0] * n + [-basis.den, 0])
+            basis.tight.append(_HELPER)
+        c = [0] * len(basis.tight)
+        for key in held:
+            for j, v in enumerate(cons[key][0]):
+                c[j] += v
+        if negative:
+            c[n] -= 1
+            i = slack.index(min(slack))
+            basis.swap(n, i, basis.weights(rest[i]))
+        basis.price(c)
+        if basis.run(allowed | {_HELPER}) != "optimal":
             raise LPError("phase 1 cannot be unbounded")
-        if cost1.get(_B, 0) < 0:
+        loose = dict(zip(rest, basis.slack))
+        if sum(loose.get(key, 0) for key in (*held, _HELPER)) > 0:
             return None
-        tab.costs.pop()
-    # Drive the helper and the artificials out; they are basic at zero,
-    # so these pivots are degenerate whatever the sign of the entry.
-    for r in rest:
-        if basis[r] == _HELPER or basis[r] in artificial:
-            target = next((j for j in structural if j in rows[r]), None)
-            if target is not None:
-                tab.pivot(r, target)
-                basis[r] = target
-            # Otherwise the row is redundant; its artificial stays basic
-            # at zero and never moves (no allowed column has an entry).
-    return feasible
+    # The helper and loose equalities are at zero; each joins M in place of
+    # the lowest key with an entry that may leave, whatever its sign.
+    # Otherwise it is redundant and stays loose, never to move.
+    for i, key in enumerate(rest):
+        if key == _HELPER or key >= n and equality[key - n]:
+            w = basis.weights(key)
+            swap = [(j, k) for k, j in enumerate(basis.tight) if w[k] and j in allowed]
+            if swap:
+                basis.swap(min(swap)[1], i, w)
+    if negative and _HELPER in basis.tight:
+        k = basis.tight.index(_HELPER)
+        del basis.tight[k], cols[k]
+        for col in cols:
+            del col[n]
+        basis.cons = plain
+    return basis
 
 
-def _integer_row(n: int, i: int, coeffs, sense: str, rhs) -> tuple[dict[int, int], int]:
-    """Row i scaled to integers, negated on ">=" so that its unit column
-    n + i is a +1 slack, and the signed scale that does it."""
-    scaled, rho = integer_scaled((*coeffs, rhs))
+def _oriented(sense: str, scaled: list[int], rho: int) -> tuple[tuple[int, ...], int, int]:
+    """A row scaled to integers as (a, b), negated on ">=" so that its
+    slack b - a . x is nonnegative, and the signed scale that does it."""
     if sense == ">=":
-        scaled = [-v for v in scaled]
-        rho = -rho
-    row = {j: v for j, v in enumerate(scaled[:n]) if v}
-    row[n + i] = 1
-    if scaled[n]:
-        row[_B] = scaled[n]
-    return row, rho
+        return tuple(-v for v in scaled[:-1]), -scaled[-1], -rho
+    return tuple(scaled[:-1]), scaled[-1], rho
 
 
-def _free_row(tab: _Tableau, rest: list[int], j: int, equality: list[bool]) -> int | None:
-    """The row of ``rest`` where free column j enters: an inequality row
-    before an equality, then the smallest |b_i / a_ij|, then the lowest
-    index.  (Of the rules tried, this one left the fewest LP solves in
-    the nucleolus schemes.)"""
-    rows = tab.rows
-    best = None
-    for i in rest:
-        a = rows[i].get(j, 0)
-        if a and (
-            best is None
-            or (equality[i], abs(rows[i].get(_B, 0) * rows[best][j]))
-            < (equality[best], abs(rows[best].get(_B, 0) * a))
-        ):
-            best = i
-    return best
-
-
-# The rows object last checked, its rows scaled to integers and the lcm of
-# their scales.  A level's pinning LPs share one rows tuple, and each cut of
-# a level's LP appends one row to the tuple before, so the check scales
-# only the rows it has not seen.  A row is matched by identity: the rows of
-# an LPInstance are nested tuples and cannot change.
+# The rows object last read, its rows scaled to integers and the lcm of
+# their scales.  A solve reads it before its check does, a level's pinning
+# LPs share one rows tuple, and each cut of a level's LP appends one row to
+# the tuple before, so only rows not seen before are scaled.  A row is
+# matched by identity: the rows of an LPInstance are nested tuples and
+# cannot change.
 _scaled_rows: tuple = ((), [], 1)
 
 
@@ -558,7 +535,7 @@ def _verify_certificate(lp: LPInstance, sol: LPSolution) -> None:
     dual_obj = 0
     coefs = [0] * lp.n_vars
     for (_, sense, _), (row, rho), d in zip(lp.rows, rows, duals):
-        lhs = sum(c * v for c, v in zip(row, x))
+        lhs = sum(map(mul, row, x))
         rhs = row[-1] * dx
         if sense == "==" and lhs != rhs:
             raise LPError("primal equality violated")

@@ -407,7 +407,11 @@ class NetworkStrengthGame(GameOracle):
 
 
 def arboricity_nz_min_excess(
-    g: Graph, y: Sequence[Fraction], a: Sequence[int], kmax: int | None = None
+    g: Graph,
+    y: Sequence[Fraction],
+    a: Sequence[int],
+    kmax: int | None = None,
+    den: int | None = None,
 ) -> ExcessReport:
     """Minimize c(S) - y(S) over edge sets with a(S) != 0.
 
@@ -417,13 +421,14 @@ def arboricity_nz_min_excess(
     cover number, which keeps the candidate value exact, is the least
     budget whose matroid still holds it: the loop asks the oracles of the
     budgets below k, from k - 1 down.  The sets are chosen and compared on
-    y scaled to integers, which orders them alike.
+    y scaled to integers, which orders them alike; with ``den`` given, y
+    holds those integers already, the weights times den.
     """
     if all(v == 0 for v in a):
         raise ValueError("non-zero constraint vector must have a nonzero entry")
     if g.has_loops():
         raise ValueError("forest-cover games require loop-free graphs")
-    wi, den = integer_scaled([Fraction(v) for v in y])
+    wi, den = (y, den) if den else integer_scaled(y)
     best: tuple[Fraction, int] | None = None
     if kmax is None:
         kmax = arboricity_value(g, (1 << g.m) - 1)
@@ -457,7 +462,7 @@ def network_strength_nz_min_excess(
         raise ValueError("non-zero constraint vector must have a nonzero entry")
     if g.n < 2:
         raise ValueError("spanning-tree packing needs at least two vertices")
-    wi, den = integer_scaled([Fraction(v) for v in y])
+    wi, den = integer_scaled(y)
     neg = [-v for v in wi]
     full = (1 << g.m) - 1
     candidates = []
@@ -488,9 +493,9 @@ def arboricity_lsa_solver(g: Graph):
     kmax = 0 if g.has_loops() else arboricity_value(g, (1 << g.m) - 1)
 
     def sep(vg, yhat, span: LinearSubspace) -> ExcessReport:
-        neg = [-Fraction(v) for v in yhat]
+        scaled, den = integer_scaled(yhat)
         a = fold_kernel(integer_kernel_basis(span))
-        return arboricity_nz_min_excess(g, neg, a, kmax=kmax)
+        return arboricity_nz_min_excess(g, [-v for v in scaled], a, kmax=kmax, den=den)
 
     return sep
 

@@ -287,12 +287,13 @@ def reference_nucleolus(g: GameOracle) -> NucleolusResult:
     Every level solves the LP with rows for all coalitions outside the
     current span.  A tight coalition is fixed iff maximizing its excess
     over the level's optimal face cannot move it above the level value,
-    which is decided by one auxiliary LP per tight coalition.  A level's
-    auxiliary LPs share one instance's rows and differ only in their
-    objective, so only the first runs phase 1; each later one starts from
-    the optimal basis of the one before and runs phase 2 only.  Each must
-    end optimal.  This fixing rule differs from dual support but produces
-    the same allocation.
+    which is decided by one pinning LP per tight coalition.  The face is
+    the level LP with the row xi >= xi* appended, which is tight at the
+    level optimum, so it continues the level's LP session without a pivot.
+    The pinning LPs maximize y(S) over the face's rows, each starting from
+    the optimal basis of the one before and running phase 2 only, and each
+    must end optimal.  This fixing rule differs from dual support but
+    produces the same allocation.
     """
     vg = as_value_game(g)
     n = vg.player_count
@@ -311,7 +312,8 @@ def reference_nucleolus(g: GameOracle) -> NucleolusResult:
         rows = [((*coalition_vector(m, n), 0), "==", table[m] + xs) for m, xs in fixed]
         rows.append(((*coalition_vector(full, n), 0), "==", table[full]))
         rows.extend(((*coalition_vector(m, n), -1), ">=", table[m]) for m in active)
-        sol = solve_lp_exact(LPInstance((0,) * n + (1,), tuple(rows), (True,) * (n + 1)))
+        lp = LPInstance((0,) * n + (1,), tuple(rows), (True,) * (n + 1))
+        sol = solve_lp_exact(lp)
         if sol.status != "optimal":
             raise MpsError(f"reference level LP came back {sol.status}")
         y = sol.x[:n]
@@ -327,14 +329,13 @@ def reference_nucleolus(g: GameOracle) -> NucleolusResult:
 
         ysum = {m: sum(y[p] for p in range(n) if (m >> p) & 1) for m in active}
         tight = [m for m in active if ysum[m] - table[m] == xi]
-        aux_rows = [(coalition_vector(m, n), "==", table[m] + xs) for m, xs in fixed]
-        aux_rows.append((coalition_vector(full, n), "==", table[full]))
-        aux_rows.extend((coalition_vector(m, n), ">=", table[m] + xi) for m in active)
-        aux = LPInstance((0,) * n, tuple(aux_rows), (True,) * n)
+        face = replace(lp, rows=lp.rows + (((0,) * n + (1,), ">=", xi),))
+        start = solve_lp_exact(face, sol)
+        if start.status != "optimal":
+            raise MpsError(f"reference face LP came back {start.status}")
         pinned = []
-        start = None
         for mask in tight:
-            start = solve_lp_exact(replace(aux, objective=coalition_vector(mask, n)), start)
+            start = solve_lp_exact(replace(face, objective=(*coalition_vector(mask, n), 0)), start)
             if start.status != "optimal":
                 raise MpsError(f"reference pinning LP came back {start.status}")
             if start.objective == table[mask] + xi:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import brute_lp_max
 from nucnz import lp as lp_module
-from nucnz.lp import LPError, LPInstance, LPSolution, _Tableau, _verify_certificate, solve_lp_exact
+from nucnz.lp import LPError, LPInstance, LPSolution, _bareiss, _verify_certificate, solve_lp_exact
 
 
 def test_single_upper_bound_with_dual():
@@ -342,6 +342,71 @@ def test_appended_rows_match_cold_solves_under_dual_bland(data):
         _check_appended_rows(data)
 
 
+@st.composite
+def free_box_lp(draw):
+    """An all-free LP of 1-4 variables: a box -K_j <= x_j <= K'_j, so every
+    draw is bounded, then up to 4 rows of mixed senses.  The coefficients
+    are spread wide enough that most optima are unique."""
+    n = draw(st.integers(1, 4))
+    rows = []
+    for j in range(n):
+        unit = tuple(int(i == j) for i in range(n))
+        rows.append((unit, "<=", draw(st.integers(1, 30))))
+        rows.append((unit, ">=", -draw(st.integers(1, 30))))
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs = tuple(draw(st.integers(-9, 9)) for _ in range(n))
+        rows.append((coeffs, draw(SENSES), draw(st.integers(-40, 40))))
+    objective = [draw(st.integers(-9, 9)) for _ in range(n)]
+    return LPInstance.maximize(objective, rows)
+
+
+def _unique_optimum(lp, sol):
+    """Exactly n rows are tight and every tight inequality has a nonzero
+    dual: then x and the duals are the only optimal pair, and any solve
+    that ends optimal must return both."""
+    tight = [
+        i for i, (coeffs, _, rhs) in enumerate(lp.rows)
+        if sum(c * v for c, v in zip(coeffs, sol.x)) == rhs
+    ]
+    return len(tight) == lp.n_vars and all(
+        sol.duals[i] != 0 for i in tight if lp.rows[i][1] != "=="
+    )
+
+
+def _check_warm_against_cold(lp, warm):
+    cold = solve_lp_exact(lp)
+    assert warm.status == cold.status
+    if cold.status == "optimal":
+        assert warm.objective == cold.objective
+        if _unique_optimum(lp, cold):
+            assert (warm.x, warm.duals) == (cold.x, cold.duals)
+    return cold
+
+
+@settings(max_examples=150)
+@given(lp=free_box_lp(), data=st.data())
+def test_square_basis_warm_solves_match_cold_solves(lp, data):
+    # All-free LPs, as every nucleolus LP is: appended ">=" rows under the
+    # same objective (the dual simplex), then other objectives over the same
+    # rows (phase 2 only), each warm solve started from the one before.
+    sol = solve_lp_exact(lp)
+    if sol.status != "optimal":
+        return
+    n = lp.n_vars
+    for _ in range(data.draw(st.integers(1, 3))):
+        coeffs = tuple(data.draw(st.integers(-9, 9)) for _ in range(n))
+        lp = replace(lp, rows=lp.rows + ((coeffs, ">=", data.draw(st.integers(-40, 40))),))
+        sol = solve_lp_exact(lp, sol)
+        _check_warm_against_cold(lp, sol)
+        if sol.status != "optimal":
+            return
+    for _ in range(data.draw(st.integers(1, 3))):
+        objective = tuple(F(data.draw(st.integers(-9, 9))) for _ in range(n))
+        lp = replace(lp, objective=objective)
+        sol = solve_lp_exact(lp, sol)
+        assert _check_warm_against_cold(lp, sol).status == "optimal"
+
+
 def _session_start():
     """max x0 + x1 over a box, and the same rows with a cut appended."""
     box = LPInstance.maximize(
@@ -368,10 +433,11 @@ def test_warm_resolve_leaves_the_start_unchanged():
     held = copy.deepcopy(start.basis)
     solve_lp_exact(cut, start)
     basis = start.basis
-    assert basis.tab.rows == held.tab.rows and basis.tab.costs == held.tab.costs
-    assert basis.tab.den == held.tab.den and basis.basis == held.basis
-    assert (basis.rows, basis.rest, basis.structural, basis.orient) == (
-        held.rows, held.rest, held.structural, held.orient
+    assert (basis.cols, basis.den, basis.tight, basis.rest, basis.slack) == (
+        held.cols, held.den, held.tight, held.rest, held.slack
+    )
+    assert (basis.rows, basis.cons, basis.allowed, basis.orient) == (
+        held.rows, held.cons, held.allowed, held.orient
     )
     # The same start still serves another cut.
     other = replace(cut, rows=start.basis.rows + (((2, 1), "<=", 4),))
@@ -522,19 +588,21 @@ def test_certificate_rejects_a_solution_of_another_shape(x, duals):
 
 
 @pytest.mark.parametrize(
-    "rows",
+    "cols, w",
     [
-        # the pivot row's support: 1*2 - 1*1 = 1 is not a multiple of 2
-        [{0: 1, 1: 1}, {0: 1, 1: 2}],
-        # outside the pivot row's support: 1*1 is not a multiple of 2
-        [{0: 1}, {0: 1, 1: 1}],
-        # a row without the pivot column, scaled by p = 3: 3*1 is not either
-        [{0: 3}, {1: 1}],
+        # a column combined with the pivot column: 1*2 - 1*1 = 1 is not a
+        # multiple of 2
+        ([[1], [2]], [1, 1]),
+        # an entry where the pivot column is zero: 1*1 - 1*0 is not either
+        ([[0, 1], [1, 0]], [1, 1]),
+        # a column with w_j = 0, scaled by |w_k| = 3: 3*1 is not either
+        ([[1], [1]], [3, 0]),
+        # |w_k| = den, so only the entry beside the pivot's nonzero moves:
+        # 1*1 is not a multiple of 2
+        ([[1, 0], [0, 0]], [2, 1]),
     ],
-    ids=["combined", "scaled-off-support", "scaled-row"],
+    ids=["combined", "scaled-off-support", "scaled-row", "unscaled"],
 )
-def test_pivot_with_a_wrong_denominator_raises(rows):
-    tab = _Tableau(rows, [{}])
-    tab.den = 2
+def test_pivot_with_a_wrong_denominator_raises(cols, w):
     with pytest.raises(LPError, match="integer pivot lost exactness"):
-        tab.pivot(0, 0)
+        _bareiss(cols, 2, 0, w)

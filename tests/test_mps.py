@@ -202,17 +202,32 @@ def ref6_dense():
 REF6_ALLOCATION = ["0", "22/3", "47/6", "133/6", "2/3", "3"]
 
 
-def test_reference_raises_when_a_pinning_lp_is_not_optimal(monkeypatch):
-    # The first call is the level LP; the second is the first pinning LP.
+def _unbounded_at_call(monkeypatch, index):
+    """Make the index-th LP solve (counted from 1) come back unbounded; the
+    calls made are returned in a list."""
     real = nucnz.mps.solve_lp_exact
     calls = []
 
-    def first_pin_unbounded(lp, start=None):
+    def unbounded_there(lp, start=None):
         calls.append(lp)
-        return LPSolution("unbounded") if len(calls) == 2 else real(lp, start)
+        return LPSolution("unbounded") if len(calls) == index else real(lp, start)
 
-    monkeypatch.setattr(nucnz.mps, "solve_lp_exact", first_pin_unbounded)
+    monkeypatch.setattr(nucnz.mps, "solve_lp_exact", unbounded_there)
+    return calls
+
+
+def test_reference_raises_when_a_pinning_lp_is_not_optimal(monkeypatch):
+    # The first call is the level LP, the second the face LP that continues
+    # its session; the third is the first pinning LP.
+    calls = _unbounded_at_call(monkeypatch, 3)
     with pytest.raises(MpsError, match="^reference pinning LP came back unbounded$"):
+        reference_nucleolus(ref6_dense())
+    assert len(calls) == 3
+
+
+def test_reference_raises_when_the_face_lp_is_not_optimal(monkeypatch):
+    calls = _unbounded_at_call(monkeypatch, 2)
+    with pytest.raises(MpsError, match="^reference face LP came back unbounded$"):
         reference_nucleolus(ref6_dense())
     assert len(calls) == 2
 
