@@ -35,10 +35,11 @@ tight constraint of least nu_k < 0 out of M, ties to the lowest key
 (Dantzig's rule, then Bland's for good after a fixed number of
 iterations, which terminates), and the loose one whose slack runs out
 first joins it, ties to the lowest key.  Optimal solutions come with exact
-duals, nu_k over den on each tight row, and a strong duality certificate
-is checked before returning.  The check reads only the instance and the
-returned solution, never the basis, and runs in integers: x and the duals
-over one denominator each, and each row scaled by the lcm of its own
+duals, nu_k over den on each tight row, and a strong duality certificate,
+with c . x equal to the returned objective, is checked before returning.
+The check reads only the instance and the returned solution, never the
+basis or the rows the solver scaled, and runs in integers: x and the
+duals over one denominator each, and each row scaled by the lcm of its own
 denominators, once per row while each rows tuple extends the one checked
 before.
 
@@ -204,9 +205,9 @@ class _Basis:
         variable that no row holds yet: then the row takes the lowest such
         variable's place in M for good, as in a cold solve."""
         n, tight, rest = len(self.free), self.tight, self.rest
-        scaled = _integer_rows(rows)[0]
         for i in range(len(self.rows), len(rows)):
-            a, b, rho = _oriented(rows[i][1], *scaled[i])
+            coeffs, sense, rhs = rows[i]
+            a, b, rho = _oriented(sense, *integer_scaled((*coeffs, rhs)))
             key = n + i
             self.cons[key] = (a + (0,) * (len(tight) - n), b)
             self.orient += (rho,)
@@ -413,8 +414,8 @@ def _cold_basis(lp: LPInstance) -> _Basis | None:
     n, free = lp.n_vars, lp.free
     cons = {j: ((0,) * j + (-1,) + (0,) * (n - 1 - j), 0) for j in range(n)}
     orient, equality = [], []
-    for i, ((_, sense, _), scaled) in enumerate(zip(lp.rows, _integer_rows(lp.rows)[0])):
-        a, b, rho = _oriented(sense, *scaled)
+    for i, (coeffs, sense, rhs) in enumerate(lp.rows):
+        a, b, rho = _oriented(sense, *integer_scaled((*coeffs, rhs)))
         cons[n + i] = (a, b)
         orient.append(rho)
         equality.append(sense == "==")
@@ -500,10 +501,11 @@ def _oriented(sense: str, scaled: list[int], rho: int) -> tuple[tuple[int, ...],
     return tuple(scaled[:-1]), scaled[-1], rho
 
 
-# The rows object last read, its rows scaled to integers and the lcm of
-# their scales.  A solve reads it before its check does, a level's pinning
-# LPs share one rows tuple, and each cut of a level's LP appends one row to
-# the tuple before, so only rows not seen before are scaled.  A row is
+# The rows object last checked, its rows scaled to integers and the lcm of
+# their scales.  Only the certificate reads it; the solver scales its rows
+# itself.  A level's pinning LPs share one rows tuple, and each cut of a
+# level's LP appends one row to the tuple before, so only rows not seen
+# before are scaled.  A row is
 # matched by identity: the rows of an LPInstance are nested tuples and
 # cannot change.
 _scaled_rows: tuple = ((), [], 1)
@@ -522,8 +524,8 @@ def _integer_rows(rows) -> tuple[list[tuple[list[int], int]], int]:
 
 
 def _verify_certificate(lp: LPInstance, sol: LPSolution) -> None:
-    """Check primal feasibility, dual signs, stationarity and strong duality
-    from ``lp`` and ``sol`` alone.  A dual is carried into the sums over its
+    """Check primal feasibility, dual signs, stationarity, strong duality
+    and that the objective is c . x, from ``lp`` and ``sol`` alone.  A dual is carried into the sums over its
     row times common // rho, so every row stands over the common lcm."""
     assert sol.x is not None and sol.duals is not None
     if len(sol.x) != lp.n_vars or len(sol.duals) != len(lp.rows):
@@ -563,5 +565,9 @@ def _verify_certificate(lp: LPInstance, sol: LPSolution) -> None:
                 raise LPError("nonnegative variable went negative")
             if coef * obj.denominator < obj.numerator * scale:
                 raise LPError("dual feasibility violated on bounded variable")
-    if dual_obj * sol.objective.denominator != sol.objective.numerator * scale:
+    obj = sol.objective
+    if dual_obj * obj.denominator != obj.numerator * scale:
         raise LPError("strong duality certificate failed")
+    c, sigma = integer_scaled(lp.objective)
+    if sum(map(mul, c, x)) * obj.denominator != obj.numerator * dx * sigma:
+        raise LPError("primal objective does not match x")

@@ -407,11 +407,7 @@ class NetworkStrengthGame(GameOracle):
 
 
 def arboricity_nz_min_excess(
-    g: Graph,
-    y: Sequence[Fraction],
-    a: Sequence[int],
-    kmax: int | None = None,
-    den: int | None = None,
+    g: Graph, y: Sequence[Fraction], a: Sequence[int], kmax: int | None = None
 ) -> ExcessReport:
     """Minimize c(S) - y(S) over edge sets with a(S) != 0.
 
@@ -421,14 +417,13 @@ def arboricity_nz_min_excess(
     cover number, which keeps the candidate value exact, is the least
     budget whose matroid still holds it: the loop asks the oracles of the
     budgets below k, from k - 1 down.  The sets are chosen and compared on
-    y scaled to integers, which orders them alike; with ``den`` given, y
-    holds those integers already, the weights times den.
+    y scaled to integers, which orders them alike.
     """
     if all(v == 0 for v in a):
         raise ValueError("non-zero constraint vector must have a nonzero entry")
     if g.has_loops():
         raise ValueError("forest-cover games require loop-free graphs")
-    wi, den = (y, den) if den else integer_scaled(y)
+    wi, den = integer_scaled(y)
     best: tuple[Fraction, int] | None = None
     if kmax is None:
         kmax = arboricity_value(g, (1 << g.m) - 1)
@@ -493,9 +488,8 @@ def arboricity_lsa_solver(g: Graph):
     kmax = 0 if g.has_loops() else arboricity_value(g, (1 << g.m) - 1)
 
     def sep(vg, yhat, span: LinearSubspace) -> ExcessReport:
-        scaled, den = integer_scaled(yhat)
         a = fold_kernel(integer_kernel_basis(span))
-        return arboricity_nz_min_excess(g, [-v for v in scaled], a, kmax=kmax, den=den)
+        return arboricity_nz_min_excess(g, [-v for v in yhat], a, kmax=kmax)
 
     return sep
 
