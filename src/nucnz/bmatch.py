@@ -23,13 +23,17 @@ capacity 2.  The older route through a padded cycle instance and
 parity-join guesses stays as the referee
 :func:`bmatch_nz_min_excess_by_cycles`.
 
-Unlike the other separation solvers, this one does not fold the kernel of
-the avoided subspace into a single non-zero vector
-(:func:`nucnz.linalg.fold_kernel`).  The forced-status route guesses
-among the nonzero-labelled edges, C(|supp a|, <= #cap2 + 2) guesses per
-query: a kernel vector of a low-dimensional span has support 2, while the
-folded vector is supported on nearly every vertex.  One query per kernel
-vector is much cheaper there.
+A separation (:func:`bmatch_lsa_min_excess`) builds the gadget and M̄
+once.  M̄ encodes a coalition S̄ of least excess among all coalitions, so
+S̄ is returned whenever it avoids the span, ties or not, and no query
+runs.  Only when S̄ lies in the span does the separation query the
+kernel.  Unlike the other separation solvers, it does not fold the kernel
+into a single non-zero vector (:func:`nucnz.linalg.fold_kernel`).  The
+forced-status route guesses among the nonzero-labelled edges,
+C(|supp a|, <= #cap2 + 2) guesses per query: a kernel vector of a
+low-dimensional span has support 2, while the folded vector is supported
+on nearly every vertex.  One query per kernel vector is much cheaper
+there, and each reuses the separation's gadget and M̄.
 """
 
 from __future__ import annotations
@@ -37,11 +41,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .games import ExcessReport, coalition_sum
+from .games import ExcessReport, coalition_sum, coalition_vector
 from .graphs import Graph
 from .linalg import LinearSubspace, integer_kernel_basis, integer_scaled, rat_str
 from .matching import (
@@ -170,68 +174,76 @@ def reduce_bmatch_to_nzmatching(
         raise ValueError("label vector length must equal the vertex count")
     if all(v == 0 for v in a):
         raise ValueError("some vertex must carry a nonzero label")
-    graph, weights, _, gm = _gadget(inst)
-    labels = [0] * graph.m
-    for v, e in enumerate(gm.center_edge):
+    gadget = _gadget(inst)
+    labels = [0] * gadget.graph.m
+    for v, e in enumerate(gadget.gm.center_edge):
         labels[e] = int(a[v])
-    return NZMatchingInstance(graph, weights, tuple(labels)), gm
+    return NZMatchingInstance(gadget.graph, gadget.w, tuple(labels)), gadget.gm
 
 
-@lru_cache(maxsize=1)
-def _gadget(
-    inst: BMatchInstance,
-) -> tuple[Graph, tuple[Fraction, ...], tuple[int, ...], NodeEdgeGadgetMap]:
-    """The label-free part of the node-edge gadget: its graph, its weights,
-    those weights scaled to integers, and the pull-back map.  None of it
-    depends on the label vector, so the queries of one separation (one per
-    kernel vector, all on the same instance) share it."""
-    g = inst.graph
-    K = 2 * (
-        sum(abs(v) for v in inst.w) + 2 * sum(abs(v) for v in inst.y)
-    ) + 1
-    edges: list[tuple[int, int]] = []
-    weights: list[Fraction] = []
-    center_edge = []
+class _Gadget:
+    """The label-free part of the node-edge gadget: its graph, its weights
+    as ``Fraction``s and as integers over the common denominator ``den``,
+    the pull-back map, and M̄.  None of it depends on the label vector."""
 
-    def v1(v):
-        return 4 * v
+    def __init__(self, inst: BMatchInstance):
+        g = inst.graph
+        K = 2 * (
+            sum(abs(v) for v in inst.w) + 2 * sum(abs(v) for v in inst.y)
+        ) + 1
+        edges: list[tuple[int, int]] = []
+        weights: list[Fraction] = []
+        center_edge = []
+        # Vertex v owns slots 4v and 4v + 2, each paired with a twin
+        # (4v + 1, 4v + 3); the center edge joins the twins.
+        for v in range(g.n):
+            half = Fraction(K + inst.y[v], 2)
+            edges += [(4 * v, 4 * v + 1), (4 * v + 2, 4 * v + 3)]
+            weights += [half, half]
+            center_edge.append(len(edges))
+            edges.append((4 * v + 1, 4 * v + 3))
+            weights.append(Fraction(K))
+        base = 4 * g.n
+        for e in range(g.m):
+            p, q = g.edges[e]
+            pe, qe = base + 2 * e, base + 2 * e + 1
+            edges.append((pe, qe))
+            weights.append(Fraction(K))
+            half = Fraction(K + inst.w[e], 2)
+            for x, xe in ((p, pe), (q, qe)):
+                for i in range(inst.b[x]):
+                    edges.append((4 * x + 2 * i, xe))
+                    weights.append(half)
+        self.graph = Graph(4 * g.n + 2 * g.m, tuple(edges))
+        self.w = tuple(weights)
+        self.int_w, self.den = integer_scaled(weights)
+        offset = Fraction(K) * (g.n + g.m) + sum(inst.y, Fraction(0))
+        self.gm = NodeEdgeGadgetMap(g.n, g.m, Fraction(K), tuple(center_edge), offset)
 
-    def vt1(v):
-        return 4 * v + 1
+    @cached_property
+    def mbar(self) -> Matching:
+        """A maximum-weight matching under the integer weights, with the
+        certificate that warm-starts every guess."""
+        return max_weight_matching(self.graph, self.int_w)
 
-    def v2(v):
-        return 4 * v + 2
+    def report(self, matching: Sequence[int]) -> ExcessReport:
+        """The coalition of ``matching`` with its excess by the weight
+        identity, summed over the integer weights."""
+        weight = Fraction(sum(self.int_w[e] for e in matching), self.den)
+        return ExcessReport(self.gm.coalition_of(matching), self.gm.implied_excess(weight))
 
-    def vt2(v):
-        return 4 * v + 3
 
-    for v in range(g.n):
-        half = Fraction(K + inst.y[v], 2)
-        edges.append((v1(v), vt1(v)))
-        weights.append(half)
-        edges.append((v2(v), vt2(v)))
-        weights.append(half)
-        center_edge.append(len(edges))
-        edges.append((vt1(v), vt2(v)))
-        weights.append(Fraction(K))
-    base = 4 * g.n
-    for e in range(g.m):
-        p, q = g.edges[e]
-        pe, qe = base + 2 * e, base + 2 * e + 1
-        edges.append((pe, qe))
-        weights.append(Fraction(K))
-        half = Fraction(K + inst.w[e], 2)
-        slots = {0: v1, 1: v2}
-        for x, xe in ((p, pe), (q, qe)):
-            for i in range(inst.b[x]):
-                edges.append((slots[i](x), xe))
-                weights.append(half)
-    out_graph = Graph(4 * g.n + 2 * g.m, tuple(edges))
-    offset = Fraction(K) * (g.n + g.m) + sum(inst.y, Fraction(0))
-    gm = NodeEdgeGadgetMap(
-        g.n, g.m, Fraction(K), tuple(center_edge), offset
-    )
-    return out_graph, tuple(weights), tuple(integer_scaled(weights)[0]), gm
+# The instance whose gadget was built last, and that gadget.  The queries
+# of one separation all run on one instance object, so the slot is matched
+# by identity and the instance is never hashed.
+_held: tuple = (None, None)
+
+
+def _gadget(inst: BMatchInstance) -> _Gadget:
+    global _held
+    if _held[0] is not inst:
+        _held = (inst, _Gadget(inst))
+    return _held[1]
 
 
 @dataclass(frozen=True)
@@ -411,14 +423,6 @@ def nz_matching_randomized(
     raise RuntimeError("randomized matching failed on every candidate total")
 
 
-@lru_cache(maxsize=1)
-def _gadget_max_matching(inst: BMatchInstance) -> Matching:
-    """M̄ of the gadget instance under its integer-scaled weights, with the
-    certificate that warm-starts every guess; shared like the gadget."""
-    graph, _, w, _ = _gadget(inst)
-    return max_weight_matching(graph, w)
-
-
 def _forced_status_matching(
     inst: NZMatchingInstance, w: Sequence[int], mbar: Matching, max_flips: int
 ) -> tuple[int, ...] | None:
@@ -468,15 +472,13 @@ def bmatch_nz_min_excess(inst: BMatchInstance, a: Sequence[int]) -> ExcessReport
     forced-status matching on the gadget instance with at most #cap2 + 2
     flipped label-carrying edges (see the module docstring).  The excess
     comes from the gadget's weight identity."""
-    produced, gm = reduce_bmatch_to_nzmatching(inst, a)
+    produced, _ = reduce_bmatch_to_nzmatching(inst, a)
+    gadget = _gadget(inst)
     cap2 = sum(1 for cap in inst.b if cap == 2)
-    matching = _forced_status_matching(
-        produced, _gadget(inst)[2], _gadget_max_matching(inst), cap2 + 2
-    )
+    matching = _forced_status_matching(produced, gadget.int_w, gadget.mbar, cap2 + 2)
     if matching is None:
         raise RuntimeError("gadget instance lost its nonzero matchings")
-    weight = sum((produced.w[e] for e in matching), Fraction(0))
-    return ExcessReport(gm.coalition_of(matching), gm.implied_excess(weight))
+    return gadget.report(matching)
 
 
 def bmatch_nz_min_excess_by_cycles(
@@ -501,12 +503,24 @@ def bmatch_nz_min_excess_by_cycles(
 
 
 def bmatch_lsa_min_excess(inst: BMatchInstance, L: LinearSubspace) -> ExcessReport:
-    """Minimum excess over coalitions avoiding ``L``: decompose into one
-    non-zero query per kernel vector and keep the best.  The kernel is not
-    folded into one query, which would multiply the forced-status guesses
-    (see the module docstring)."""
+    """Minimum excess over coalitions avoiding ``L``, M̄ first.
+
+    A full-space ``L`` raises ``ValueError`` before any gadget is built.
+    The coalition S̄ of the gadget's maximum-weight matching M̄ has the
+    least excess of all coalitions.  Whenever χ_S̄ avoids ``L``, S̄ is the
+    answer, even where another avoiding coalition ties with it, and no
+    non-zero query runs.  Otherwise every kernel vector a of ``L`` has
+    a(S̄) = 0, and one non-zero query per kernel vector runs on the same
+    gadget and M̄; the least excess wins, ties to the smaller coalition
+    mask.  The kernel is not folded into one query, which would multiply
+    the forced-status guesses (see the module docstring)."""
+    kernel = integer_kernel_basis(L)
+    gadget = _gadget(inst)
+    direct = gadget.report(gadget.mbar)
+    if not L.contains(coalition_vector(direct.coalition, inst.graph.n)):
+        return direct
     best: ExcessReport | None = None
-    for a in integer_kernel_basis(L):
+    for a in kernel:
         rep = bmatch_nz_min_excess(inst, a)
         if best is None or (rep.excess, rep.coalition) < (best.excess, best.coalition):
             best = rep

@@ -74,8 +74,6 @@ from .linalg import integer_scaled
 
 __all__ = ["LPInstance", "LPSolution", "LPError", "solve_lp_exact"]
 
-SENSES = ("==", "<=", ">=")
-
 # Key of the phase-1 helper's bound h >= 0.  No list holds 2**63 rows, so
 # it sorts after every row's key, and appended rows never reach it.
 _HELPER = 1 << 63
@@ -103,26 +101,6 @@ class LPInstance:
     objective: tuple[Fraction, ...]
     rows: tuple[tuple[tuple[Fraction, ...], str, Fraction], ...]
     free: tuple[bool, ...]
-
-    @staticmethod
-    def maximize(objective: Sequence, rows, free: Sequence[bool] | None = None) -> "LPInstance":
-        obj = tuple(Fraction(v) for v in objective)
-        n = len(obj)
-        norm_rows = []
-        for coeffs, sense, rhs in rows:
-            if sense not in SENSES:
-                raise ValueError(f"bad row sense {sense!r}")
-            c = tuple(Fraction(v) for v in coeffs)
-            if len(c) != n:
-                raise ValueError("row width does not match objective")
-            norm_rows.append((c, sense, Fraction(rhs)))
-        if free is None:
-            fr = tuple(True for _ in range(n))
-        else:
-            fr = tuple(bool(b) for b in free)
-            if len(fr) != n:
-                raise ValueError("free-flag length does not match objective")
-        return LPInstance(obj, tuple(norm_rows), fr)
 
     @property
     def n_vars(self) -> int:

@@ -402,6 +402,28 @@ def solve_square(a, b):
     return [aug[i][n] / aug[i][i] for i in range(n)]
 
 
+def maximize(objective, rows, free=None):
+    """The LPInstance max objective.x over rows (coeffs, sense, rhs), with
+    every entry read as a Fraction; every variable is free unless ``free``
+    says otherwise."""
+    from nucnz.lp import LPInstance
+
+    obj = tuple(F(v) for v in objective)
+    n = len(obj)
+    norm_rows = []
+    for coeffs, sense, rhs in rows:
+        if sense not in ("==", "<=", ">="):
+            raise ValueError(f"bad row sense {sense!r}")
+        c = tuple(F(v) for v in coeffs)
+        if len(c) != n:
+            raise ValueError("row width does not match objective")
+        norm_rows.append((c, sense, F(rhs)))
+    fr = (True,) * n if free is None else tuple(bool(b) for b in free)
+    if len(fr) != n:
+        raise ValueError("free-flag length does not match objective")
+    return LPInstance(obj, tuple(norm_rows), fr)
+
+
 def brute_lp_max(objective, rows, free):
     """Optimum of max objective.x over rows (coeffs, sense, rhs) and x_j >= 0
     for the non-free j, by enumerating every vertex: each choice of n tight

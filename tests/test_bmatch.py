@@ -35,7 +35,13 @@ from nucnz.cycles import (
     shortest_nz_cycle_few_nonzero,
 )
 from nucnz.fixtures import random_subspace_rows
-from nucnz.games import brute_lsa_min_excess, brute_nz_min_excess, coalition_sum, excess
+from nucnz.games import (
+    brute_lsa_min_excess,
+    brute_nz_min_excess,
+    coalition_sum,
+    coalition_vector,
+    excess,
+)
 from nucnz.graphs import Graph
 from nucnz.linalg import LinearSubspace
 from nucnz.matching import is_conservative, matching_is_valid
@@ -264,7 +270,60 @@ def test_lsa_matches_brute():
         got = bmatch_lsa_min_excess(inst, L)
         want = brute_lsa_min_excess(inst.game(), inst.y, L)
         assert got.excess == want.excess
+        assert not L.contains(coalition_vector(got.coalition, n))
+        assert excess(inst.game(), inst.y, got.coalition) == got.excess
         done += 1
+
+
+# A path whose two end edges are heavy, with capacity 2 at vertex 1: the
+# unconstrained optimum S̄ is the grand coalition (excess 4 - 10 = -6), and
+# {0, 1, 2}, which takes both edges at vertex 1, comes next (3 - 8 = -5).
+PATH = BMatchInstance(
+    Graph.of(4, [(0, 1), (1, 2), (2, 3)]), (F(5), F(3), F(5)), (1, 2, 1, 1), (F(1),) * 4
+)
+
+
+def test_lsa_returns_the_max_matching_coalition_when_it_avoids_the_span(monkeypatch):
+    L = LinearSubspace.from_rows([[1, -1, 0, 0], [0, 0, 1, -1]], 4)
+    gadget = bmatch._gadget(PATH)
+    assert gadget.gm.coalition_of(gadget.mbar) == 0b1111
+    assert not L.contains([1, 1, 1, 1])
+
+    def no_query(*args):
+        raise AssertionError("a non-zero query ran")
+
+    monkeypatch.setattr(bmatch, "bmatch_nz_min_excess", no_query)
+    got = bmatch_lsa_min_excess(PATH, L)
+    assert got == brute_lsa_min_excess(PATH.game(), PATH.y, L)
+    assert got.coalition == 0b1111 and got.excess == -6
+
+
+def test_lsa_queries_the_kernel_when_the_span_holds_that_coalition(monkeypatch):
+    L = LinearSubspace.from_rows([[1, 1, 1, 1]], 4)
+    queries = []
+    query = bmatch.bmatch_nz_min_excess
+
+    def counted(inst, a):
+        queries.append(a)
+        return query(inst, a)
+
+    monkeypatch.setattr(bmatch, "bmatch_nz_min_excess", counted)
+    got = bmatch_lsa_min_excess(PATH, L)
+    assert len(queries) == 3
+    assert got == brute_lsa_min_excess(PATH.game(), PATH.y, L)
+    assert got.coalition == 0b0111 and got.excess == -5
+
+
+def test_lsa_rejects_the_full_space_before_building_the_gadget(monkeypatch):
+    def no_gadget(*args):
+        raise AssertionError("the gadget was built")
+
+    monkeypatch.setattr(bmatch, "_Gadget", no_gadget)
+    monkeypatch.setattr(bmatch, "max_weight_matching", no_gadget)
+    inst = BMatchInstance(PATH.graph, PATH.w, PATH.b, (F(1, 2),) * 4)
+    full = LinearSubspace.from_rows([[int(i == j) for j in range(4)] for i in range(4)], 4)
+    with pytest.raises(ValueError, match="^subspace is the full space; no avoidance possible$"):
+        bmatch_lsa_min_excess(inst, full)
 
 
 
@@ -349,3 +408,5 @@ def test_forced_lsa_matches_brute_on_proper_subspaces(data):
     L = LinearSubspace.from_rows(data.draw(st.lists(row, max_size=n - 1)), n)
     got = bmatch_lsa_min_excess(inst, L)
     assert got.excess == brute_lsa_min_excess(inst.game(), inst.y, L).excess
+    assert not L.contains(coalition_vector(got.coalition, n))
+    assert excess(inst.game(), inst.y, got.coalition) == got.excess

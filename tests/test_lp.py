@@ -8,13 +8,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_lp_max
+from helpers import brute_lp_max, maximize
 from nucnz import lp as lp_module
-from nucnz.lp import LPError, LPInstance, LPSolution, _bareiss, _verify_certificate, solve_lp_exact
+from nucnz.lp import LPError, LPSolution, _bareiss, _verify_certificate, solve_lp_exact
+
+
+@pytest.mark.parametrize(
+    "rows, free, message",
+    [
+        ([((1,), "<", 0)], None, "bad row sense '<'"),
+        ([((1, 1), "<=", 0)], None, "row width does not match objective"),
+        ([((1,), "<=", 0)], [True, False], "free-flag length does not match objective"),
+    ],
+)
+def test_maximize_rejects_malformed_rows(rows, free, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        maximize([1], rows, free)
 
 
 def test_single_upper_bound_with_dual():
-    lp = LPInstance.maximize([1], [((1,), "<=", 0)])
+    lp = maximize([1], [((1,), "<=", 0)])
     sol = solve_lp_exact(lp)
     assert sol.status == "optimal"
     assert sol.x == (0,)
@@ -23,7 +36,7 @@ def test_single_upper_bound_with_dual():
 
 
 def test_two_player_split():
-    lp = LPInstance.maximize(
+    lp = maximize(
         [0, 0, 1],
         [
             ((1, 1, 0), "==", 1),
@@ -38,18 +51,18 @@ def test_two_player_split():
 
 
 def test_infeasible():
-    lp = LPInstance.maximize([1], [((1,), "<=", 0), ((1,), ">=", 1)])
+    lp = maximize([1], [((1,), "<=", 0), ((1,), ">=", 1)])
     assert solve_lp_exact(lp).status == "infeasible"
 
 
 def test_unbounded():
-    lp = LPInstance.maximize([1], [((1,), ">=", 0)])
+    lp = maximize([1], [((1,), ">=", 0)])
     assert solve_lp_exact(lp).status == "unbounded"
 
 
 def test_nonnegative_variables():
     # max x + y, x + 2y <= 4, 3x + y <= 6, x,y >= 0
-    lp = LPInstance.maximize(
+    lp = maximize(
         [1, 1],
         [((1, 2), "<=", 4), ((3, 1), "<=", 6)],
         free=[False, False],
@@ -61,7 +74,7 @@ def test_nonnegative_variables():
 
 
 def test_degenerate_and_redundant_rows():
-    lp = LPInstance.maximize(
+    lp = maximize(
         [1, 0],
         [
             ((1, 1), "==", 1),
@@ -76,7 +89,7 @@ def test_degenerate_and_redundant_rows():
 
 
 def test_fractional_data():
-    lp = LPInstance.maximize(
+    lp = maximize(
         [F(1, 3), F(1, 7)],
         [((F(2, 5), F(1, 2)), "<=", F(3, 4))],
         free=[False, False],
@@ -99,7 +112,7 @@ def random_lp(rng):
         sense = rng.choice(["<=", ">=", "=="])
         rhs = F(rng.randint(-6, 6))
         rows.append((coeffs, sense, rhs))
-    return LPInstance.maximize(obj, rows, free=free)
+    return maximize(obj, rows, free=free)
 
 
 def test_random_lps_certified():
@@ -129,7 +142,7 @@ def test_matches_bounded_box_enumeration():
             ((F(0), F(1)), ">=", F(-rng.randint(0, 4))),
             ((F(rng.randint(-2, 2)), F(rng.randint(-2, 2))), "<=", F(rng.randint(0, 5))),
         ]
-        lp = LPInstance.maximize(obj, rows)
+        lp = maximize(obj, rows)
         sol = solve_lp_exact(lp)
         assert sol.status == "optimal"
         # Brute force: evaluate objective at all intersections of row pairs.
@@ -164,18 +177,18 @@ def test_matches_bounded_box_enumeration():
 
 def test_free_variable_absent_from_every_row():
     rows = [((0, 1), "<=", 3)]
-    sol = solve_lp_exact(LPInstance.maximize([0, 1], rows))
+    sol = solve_lp_exact(maximize([0, 1], rows))
     assert sol.status == "optimal"
     assert sol.x == (0, 3) and sol.duals == (1,) and sol.objective == 3
-    assert solve_lp_exact(LPInstance.maximize([1, 1], rows)).status == "unbounded"
-    assert solve_lp_exact(LPInstance.maximize([-2, 0], rows)).status == "unbounded"
+    assert solve_lp_exact(maximize([1, 1], rows)).status == "unbounded"
+    assert solve_lp_exact(maximize([-2, 0], rows)).status == "unbounded"
     contradictory = rows + [((0, 1), ">=", 4)]
-    assert solve_lp_exact(LPInstance.maximize([1, 1], contradictory)).status == "infeasible"
+    assert solve_lp_exact(maximize([1, 1], contradictory)).status == "infeasible"
 
 
 def test_square_equality_system():
     # Every row is an equality holding a free variable: no phase 1.
-    lp = LPInstance.maximize([1, 2], [((1, 1), "==", -3), ((1, -1), "==", 1)])
+    lp = maximize([1, 2], [((1, 1), "==", -3), ((1, -1), "==", 1)])
     sol = solve_lp_exact(lp)
     assert sol.status == "optimal"
     assert sol.x == (-1, -2)
@@ -186,13 +199,13 @@ def test_square_equality_system():
 def test_redundant_equality_keeps_artificial_at_zero():
     # After x and y enter, the doubled row has no entry left in any column
     # the simplex may use, so its artificial stays basic at zero.
-    lp = LPInstance.maximize(
+    lp = maximize(
         [1, 0], [((1, 1), "==", 2), ((2, 2), "==", 4), ((1, -1), "<=", 0)]
     )
     sol = solve_lp_exact(lp)
     assert sol.status == "optimal"
     assert sol.x == (1, 1) and sol.objective == 1
-    nonnegative = LPInstance.maximize(
+    nonnegative = maximize(
         [1, 1], [((1, 1), "==", 2), ((1, 1), "==", 2)], free=[False, False]
     )
     assert solve_lp_exact(nonnegative).objective == 2
@@ -200,7 +213,7 @@ def test_redundant_equality_keeps_artificial_at_zero():
 
 def test_drive_out_pivot_on_negative_entry():
     # The artificial of -x == 0 is basic at zero and leaves on the -1.
-    lp = LPInstance.maximize(
+    lp = maximize(
         [1, 1], [((-1, 0), "==", 0), ((0, 1), "<=", 2)], free=[False, False]
     )
     sol = solve_lp_exact(lp)
@@ -251,7 +264,7 @@ def _boxed_draw(data):
 @given(data=st.data())
 def test_boxed_lps_match_vertex_enumeration(data):
     objective, rows, free = _boxed_draw(data)
-    sol = solve_lp_exact(LPInstance.maximize(objective, rows, free))
+    sol = solve_lp_exact(maximize(objective, rows, free))
     best = brute_lp_max(objective, rows, free)
     if best is None:
         assert sol.status == "infeasible"
@@ -276,7 +289,7 @@ def test_warm_solves_match_cold_solves(data):
         rows.append((unit, "<=", 3))
         if free[j]:
             rows.append((unit, ">=", -3))
-    first = LPInstance.maximize(objectives[0], rows, free)
+    first = maximize(objectives[0], rows, free)
     lps = [replace(first, objective=tuple(map(F, c))) for c in objectives]
     cold = [solve_lp_exact(lp) for lp in lps]
     if cold[0].status == "infeasible":
@@ -297,7 +310,7 @@ def test_warm_solves_match_cold_solves(data):
     assert forward == backward[::-1]
     assert [sol.objective for sol in forward] == [sol.objective for sol in cold[:2]]
     with pytest.raises(ValueError):
-        solve_lp_exact(LPInstance.maximize(objectives[0], rows, free), start)
+        solve_lp_exact(maximize(objectives[0], rows, free), start)
     with pytest.raises(ValueError):
         solve_lp_exact(replace(first, free=tuple(not f for f in free)), start)
 
@@ -306,7 +319,7 @@ def _check_appended_rows(data):
     # The boxed draw, then 1-4 inequalities appended one at a time; each
     # warm re-solve, started from the solve before, must match a cold solve
     # of the same rows.
-    lp = LPInstance.maximize(*_boxed_draw(data))
+    lp = maximize(*_boxed_draw(data))
     sol = solve_lp_exact(lp)
     if sol.status != "optimal":
         return
@@ -357,7 +370,7 @@ def free_box_lp(draw):
         coeffs = tuple(draw(st.integers(-9, 9)) for _ in range(n))
         rows.append((coeffs, draw(SENSES), draw(st.integers(-40, 40))))
     objective = [draw(st.integers(-9, 9)) for _ in range(n)]
-    return LPInstance.maximize(objective, rows)
+    return maximize(objective, rows)
 
 
 def _unique_optimum(lp, sol):
@@ -409,7 +422,7 @@ def test_square_basis_warm_solves_match_cold_solves(lp, data):
 
 def _session_start():
     """max x0 + x1 over a box, and the same rows with a cut appended."""
-    box = LPInstance.maximize(
+    box = maximize(
         [1, 1],
         [((1, 0), "<=", 3), ((0, 1), "<=", 3), ((1, 0), ">=", -3), ((0, 1), ">=", -3)],
     )
@@ -447,7 +460,7 @@ def test_warm_resolve_leaves_the_start_unchanged():
 def test_appended_row_takes_a_free_column_that_found_no_row():
     # x0 is in no row of the start, and it enters the appended row as a
     # cold solve would pivot it in.
-    lp = LPInstance.maximize([0, 1], [((0, 1), "<=", 3)])
+    lp = maximize([0, 1], [((0, 1), "<=", 3)])
     start = solve_lp_exact(lp)
     cut = replace(lp, rows=lp.rows + (((1, 1), "<=", 2),))
     warm = solve_lp_exact(cut, start)
@@ -498,7 +511,7 @@ def test_planted_improving_ray_is_unbounded(data):
     cd = sum(x * y for x, y in zip(c, d))
     if cd <= 0:
         c = [x + (1 - cd) * y for x, y in zip(c, d)]
-    assert solve_lp_exact(LPInstance.maximize(c, rows, free)).status == "unbounded"
+    assert solve_lp_exact(maximize(c, rows, free)).status == "unbounded"
 
 
 # max a + p - q + b - c - u - w over x = (a, p, q, b, c, u, w, z), with
@@ -507,7 +520,7 @@ def test_planted_improving_ray_is_unbounded(data):
 # and 5 as equalities, so the duals of each pair can change sign without
 # breaking stationarity; rows 8 and 9 have rhs 0, so their duals do not
 # enter the dual objective.
-CERT_LP = LPInstance.maximize(
+CERT_LP = maximize(
     [1, 1, -1, 1, -1, -1, -1, 0],
     [
         ((F(1, 2), 0, 0, 0, 0, 0, 0, 0), "==", F(1, 2)),
