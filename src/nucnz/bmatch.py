@@ -43,11 +43,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .games import ExcessReport, coalition_sum, coalition_vector
 from .graphs import Graph
-from .linalg import LinearSubspace, integer_kernel_basis, integer_scaled, rat_str
+from .linalg import LinearSubspace, integer_kernel_basis, rat_str
 from .matching import (
     BMatchingGame,
     Matching,
@@ -183,42 +184,50 @@ def reduce_bmatch_to_nzmatching(
 
 class _Gadget:
     """The label-free part of the node-edge gadget: its graph, its weights
-    as ``Fraction``s and as integers over the common denominator ``den``,
-    the pull-back map, and M̄.  None of it depends on the label vector."""
+    as integers over the common denominator ``den`` (and as ``Fraction``s
+    when a reduction asks), the pull-back map, and M̄.  None of it depends
+    on the label vector."""
 
     def __init__(self, inst: BMatchInstance):
         g = inst.graph
-        K = 2 * (
-            sum(abs(v) for v in inst.w) + 2 * sum(abs(v) for v in inst.y)
-        ) + 1
+        # y and w over their common denominator d, and K times d.  Every
+        # weight times 2d is an integer: K d + d y_v on a slot edge, 2 K d
+        # on a center or middle edge, K d + d w_e on a link.
+        d = lcm(*(v.denominator for v in (*inst.y, *inst.w)))
+        y = [v.numerator * (d // v.denominator) for v in inst.y]
+        w = [v.numerator * (d // v.denominator) for v in inst.w]
+        K = 2 * (sum(map(abs, w)) + 2 * sum(map(abs, y))) + d
         edges: list[tuple[int, int]] = []
-        weights: list[Fraction] = []
+        weights: list[int] = []
         center_edge = []
         # Vertex v owns slots 4v and 4v + 2, each paired with a twin
         # (4v + 1, 4v + 3); the center edge joins the twins.
         for v in range(g.n):
-            half = Fraction(K + inst.y[v], 2)
             edges += [(4 * v, 4 * v + 1), (4 * v + 2, 4 * v + 3)]
-            weights += [half, half]
+            weights += [K + y[v], K + y[v]]
             center_edge.append(len(edges))
             edges.append((4 * v + 1, 4 * v + 3))
-            weights.append(Fraction(K))
+            weights.append(2 * K)
         base = 4 * g.n
         for e in range(g.m):
             p, q = g.edges[e]
             pe, qe = base + 2 * e, base + 2 * e + 1
             edges.append((pe, qe))
-            weights.append(Fraction(K))
-            half = Fraction(K + inst.w[e], 2)
+            weights.append(2 * K)
             for x, xe in ((p, pe), (q, qe)):
                 for i in range(inst.b[x]):
                     edges.append((4 * x + 2 * i, xe))
-                    weights.append(half)
+                    weights.append(K + w[e])
         self.graph = Graph(4 * g.n + 2 * g.m, tuple(edges))
-        self.w = tuple(weights)
-        self.int_w, self.den = integer_scaled(weights)
-        offset = Fraction(K) * (g.n + g.m) + sum(inst.y, Fraction(0))
-        self.gm = NodeEdgeGadgetMap(g.n, g.m, Fraction(K), tuple(center_edge), offset)
+        # The least common denominator, as integer_scaled would give.
+        common = gcd(2 * d, *weights)
+        self.int_w, self.den = [v // common for v in weights], 2 * d // common
+        offset = Fraction(K * (g.n + g.m) + sum(y), d)
+        self.gm = NodeEdgeGadgetMap(g.n, g.m, Fraction(K, d), tuple(center_edge), offset)
+
+    @cached_property
+    def w(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.den) for v in self.int_w)
 
     @cached_property
     def mbar(self) -> Matching:

@@ -55,7 +55,22 @@ An optimal solution keeps its basis, and a later solve can start from it
   M; the least ratio nu_k / w_k over w_k > 0 leaves, ties to the largest
   w_k and then the lowest key.  After a fixed number of iterations the
   dual Bland rule (the lowest key joins, the lowest key leaves among ties)
-  takes over for good, which terminates.
+  takes over for good, which terminates;
+* over other rows that hold at its point, under any objective: each row
+  of the instance that is not one of the start's (matched by identity)
+  must hold there, an equality tightly, and the start's rows it lacks are
+  dropped.  The point stays feasible, so no phase 1 runs.  The kept
+  constraints keep their places in M and their slacks; a place whose
+  constraint the instance lacks (a dropped row, or a free variable's
+  bound) holds a ghost with a negative key, which may leave M.  The solve
+  prices its own objective, then the loose equalities, at zero, join M
+  as in a cold solve, in ghosts' places first, which does not move the
+  point.  Each ghost left leaves M the way its nu_k improves (either way
+  when nu_k = 0), and the loose constraint whose slack runs out first, by
+  the primal ratio test, joins M in its place.  Phase 2 finishes.  A
+  ghost that no loose constraint can replace (the rows have a lineality,
+  or the objective a ray) sends the solve cold, as does a start whose
+  basis kept the phase-1 helper.
 
 Among equal slacks the first in ``rest`` joins M.  ``rest`` lists the
 loose constraints in the order a tableau holds the rows they are basic
@@ -257,19 +272,35 @@ class _Basis:
                         k, best = j, rank
             if k is None:
                 return "optimal"
-            # Leaving M raises slack k, which runs every loose slack down at
-            # rate -a q_k over den: the least ratio joins M, ties to the
-            # lowest key.
-            rates, slack = self.rates(k), self.slack
-            r = None
-            for i, rate in enumerate(rates):
-                if rate < 0:
-                    s, t = slack[i], -rate
-                    if r is None or s * r_t < r_s * t or s * r_t == r_s * t and rest[i] < rest[r]:
-                        r, r_s, r_t = i, s, t
+            r, rates = self.ratio(k)
             if r is None:
                 return "unbounded"
             self.swap(k, r, self.weights(rest[r]), rates)
+
+    def ratio(self, k: int) -> tuple[int | None, list[int]]:
+        """Leaving M raises slack k, which runs every loose slack down at
+        rate -a q_k over den: the place in ``rest`` of the least ratio,
+        ties to the lowest key (None if no slack falls), and the rates."""
+        rates, slack, rest = self.rates(k), self.slack, self.rest
+        r = None
+        for i, rate in enumerate(rates):
+            if rate < 0:
+                s, t = slack[i], -rate
+                if r is None or s * r_t < r_s * t or s * r_t == r_s * t and rest[i] < rest[r]:
+                    r, r_s, r_t = i, s, t
+        return r, rates
+
+    def drive_in(self, joining) -> None:
+        """Each loose constraint whose key is in ``joining``, all at zero,
+        joins M in place of the lowest key with an entry that may leave,
+        whatever its sign.  Otherwise it is redundant and stays loose,
+        never to move."""
+        for i, key in enumerate(self.rest):
+            if key in joining:
+                w = self.weights(key)
+                swap = [(j, k) for k, j in enumerate(self.tight) if w[k] and j in self.allowed]
+                if swap:
+                    self.swap(min(swap)[1], i, w)
 
 
 def _dots(vectors: list, x: Sequence[int]) -> list[int]:
@@ -323,39 +354,44 @@ def solve_lp_exact(lp: LPInstance, start: LPSolution | None = None) -> LPSolutio
     for infeasible or unbounded instances.  An optimal solution is
     returned only after its certificate checks.
 
-    ``start`` is an optimal solution with the same ``free`` flags over a
-    prefix of ``lp.rows`` (the same row objects, in order).  The solve
-    copies its basis in place of phase 1.  Over all of the rows, it prices
-    its own objective and runs phase 2 only.  Otherwise the objective must
-    be the start's and the appended rows inequalities: they join the basis
-    loose, and the dual simplex re-optimizes, with the dual Bland rule after
-    ``DUAL_BLAND_AFTER`` iterations.  Any other start raises ``ValueError``.
+    ``start`` is an optimal solution with the same ``free`` flags, whose
+    basis the solve copies in place of phase 1.  Over a prefix of
+    ``lp.rows`` (the same row objects, in order) it is continued: over all
+    of the rows, the solve prices its own objective and runs phase 2 only;
+    otherwise the objective must be the start's and the appended rows
+    inequalities, which join the basis loose, and the dual simplex
+    re-optimizes, with the dual Bland rule after ``DUAL_BLAND_AFTER``
+    iterations.  Over any other rows it is resumed: each row of ``lp`` that
+    is not one of the start's (by identity) must hold at the start's
+    point, an equality tightly; the start's rows that ``lp`` lacks are
+    dropped; the solve prices its own objective, refills the places of M
+    they held, and runs phase 2.  A start that fits none of these raises
+    ``ValueError``.
     """
-    appended = ()
-    if start is None:
-        basis = _cold_basis(lp)
-        if basis is None:
-            return LPSolution(status="infeasible")
-    elif start.basis is None:
-        raise ValueError(f"a {start.status} solution has no basis to start from")
-    else:
-        held = start.basis.rows
-        if (
-            len(held) > len(lp.rows)
-            or any(a is not b for a, b in zip(held, lp.rows))
-            or start.basis.free != lp.free
-        ):
-            raise ValueError("start solves rows that do not begin these, or other free flags")
-        appended = lp.rows[len(held):]
-        if appended and start.basis.objective != lp.objective:
-            raise ValueError("rows can be appended only under the start's objective")
-        if any(sense == "==" for _, sense, _ in appended):
-            raise ValueError("an appended row must be an inequality")
-        basis = start.basis.copy()
-
     n = lp.n_vars
     m = len(lp.rows)
     scaled, sigma = integer_scaled(lp.objective)
+    appended = basis = None
+    if start is not None:
+        if start.basis is None:
+            raise ValueError(f"a {start.status} solution has no basis to start from")
+        if start.basis.free != lp.free:
+            raise ValueError("start has other free flags")
+        held = start.basis.rows
+        if len(held) <= m and all(a is b for a, b in zip(held, lp.rows)):
+            appended = lp.rows[len(held):]
+            if appended and start.basis.objective != lp.objective:
+                raise ValueError("rows can be appended only under the start's objective")
+            if any(sense == "==" for _, sense, _ in appended):
+                raise ValueError("an appended row must be an inequality")
+            basis = start.basis.copy()
+        else:
+            basis = _resumed_basis(lp, start.basis, scaled)
+    if basis is None:
+        basis = _cold_basis(lp)
+        if basis is None:
+            return LPSolution(status="infeasible")
+
     if appended:
         basis.append(lp.rows)
         if basis.dual() == "infeasible":
@@ -384,6 +420,88 @@ def solve_lp_exact(lp: LPInstance, start: LPSolution | None = None) -> LPSolutio
     )
     _verify_certificate(lp, sol)
     return sol
+
+
+def _resumed_basis(lp: LPInstance, old: _Basis, scaled: list[int]) -> _Basis | None:
+    """The basis ``old`` carried over to the rows of ``lp`` and priced on
+    ``scaled``, at the same point, with every place of M held by a
+    constraint of ``lp``; None when a place cannot be refilled."""
+    n, free = lp.n_vars, lp.free
+    if len(old.tight) != n:
+        return None  # a phase-1 helper stayed loose in the start's basis
+    index = {id(row): i for i, row in enumerate(old.rows)}
+    cons = {j: old.cons[j] for j in range(n)}
+    moved: dict[int, int] = {}  # old key -> new key of each kept row
+    orient, new, equality = [], [], set()
+    allowed = {j for j in range(n) if not free[j]}
+    for i, row in enumerate(lp.rows):
+        key, j = n + i, index.pop(id(row), None)
+        if j is None:
+            coeffs, sense, rhs = row
+            a, b, rho = _oriented(sense, *integer_scaled((*coeffs, rhs)))
+            cons[key] = (a, b)
+            new.append(key)
+        else:
+            cons[key], rho = old.cons[n + j], old.orient[j]
+            moved[n + j] = key
+        orient.append(rho)
+        (equality if row[1] == "==" else allowed).add(key)
+    # A place whose constraint lp lacks (a dropped row or a free variable's
+    # bound) holds a ghost: a negative key, which may leave M.
+    tight, ghosts = [], []
+    for k, key in enumerate(old.tight):
+        if key < n and not free[key]:
+            tight.append(key)
+        elif key in moved:
+            tight.append(moved[key])
+        else:
+            tight.append(-1 - k)
+            ghosts.append(-1 - k)
+            cons[-1 - k] = old.cons[key]
+    allowed.update(ghosts)
+    rest, slack = [], []
+    for key, s in zip(old.rest, old.slack):
+        key = key if key < n else moved.get(key)
+        if key is not None:
+            rest.append(key)
+            slack.append(s)
+    basis = _Basis(
+        lp.rows, free, lp.objective, cons, tuple(orient), allowed, tight, rest, slack,
+        old.den, [list(col) for col in old.cols],
+    )
+    for key in new:
+        s = -basis.weights(key)[-1]
+        if s < 0 or s and key in equality:
+            raise ValueError("a row new to the start must hold at its point, an equality tightly")
+        rest.append(key)
+        slack.append(s)
+
+    # Loose equalities, all at zero, join M, in ghosts' places first; then
+    # each ghost left leaves M the way its nu_k improves (either way when
+    # nu_k = 0), and the loose constraint whose slack runs out first
+    # joins M in its place.
+    basis.price(scaled)
+    basis.drive_in(equality)
+    kept = [(key, s) for key, s in zip(basis.rest, basis.slack) if key >= 0]
+    basis.rest, basis.slack = [key for key, _ in kept], [s for _, s in kept]
+    cols = basis.cols
+    for k, key in enumerate(basis.tight):
+        if key < 0:
+            nu = cols[k][-1]
+            for turn in range(1 if nu else 2):
+                if nu > 0 or turn:
+                    cols[k] = [-v for v in cols[k]]
+                r, rates = basis.ratio(k)
+                if r is not None:
+                    break
+            else:
+                return None
+            basis.swap(k, r, basis.weights(basis.rest[r]), rates)
+            del basis.rest[r], basis.slack[r]
+    for key in ghosts:
+        del cons[key]
+    allowed.difference_update(ghosts)
+    return basis
 
 
 def _cold_basis(lp: LPInstance) -> _Basis | None:
@@ -453,15 +571,8 @@ def _cold_basis(lp: LPInstance) -> _Basis | None:
         loose = dict(zip(rest, basis.slack))
         if sum(loose.get(key, 0) for key in (*held, _HELPER)) > 0:
             return None
-    # The helper and loose equalities are at zero; each joins M in place of
-    # the lowest key with an entry that may leave, whatever its sign.
-    # Otherwise it is redundant and stays loose, never to move.
-    for i, key in enumerate(rest):
-        if key == _HELPER or key >= n and equality[key - n]:
-            w = basis.weights(key)
-            swap = [(j, k) for k, j in enumerate(basis.tight) if w[k] and j in allowed]
-            if swap:
-                basis.swap(min(swap)[1], i, w)
+    # The helper and loose equalities are at zero.
+    basis.drive_in({_HELPER, *(n + i for i, eq in enumerate(equality) if eq)})
     if negative and _HELPER in basis.tight:
         k = basis.tight.index(_HELPER)
         del basis.tight[k], cols[k]

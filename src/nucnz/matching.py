@@ -59,10 +59,6 @@ def matching_is_valid(g: Graph, edge_ids: Iterable[int]) -> bool:
     return True
 
 
-def _matching_weight(w: Sequence[Fraction], edge_ids: Iterable[int]) -> Fraction:
-    return sum((Fraction(w[e]) for e in edge_ids), Fraction(0))
-
-
 def _collapse_parallels(g: Graph, w: Sequence[Fraction]):
     """Heaviest edge per vertex pair (lower id on ties); loops and negative
     edges dropped."""
@@ -723,9 +719,12 @@ def b_matching_value(
     """Maximum weight of a degree-capped edge subset inside G[S], b <= 2.
 
     Realized by vertex splitting: each capacity-2 vertex gets two copies
-    and each edge becomes a three-edge chain carrying half its weight on
-    every link, so a matching collects the full weight exactly when it
-    commits both endpoints.  Negative edges never help and are dropped.
+    and each edge e becomes a three-edge chain carrying w_e, scaled to an
+    integer over the weights' common denominator, on every link.  A
+    maximum matching collects it twice on a chain that commits both
+    endpoints and once on any other, so the value is the matching weight
+    less the kept weights, over the denominator.  Negative edges never
+    help and are dropped.
     """
     if vertex_mask < 0:
         vertex_mask = (1 << g.n) - 1
@@ -744,32 +743,29 @@ def b_matching_value(
     kept = [
         e
         for e in range(g.m)
-        if Fraction(w[e]) >= 0
+        if w[e] >= 0
         and (vertex_mask >> g.edges[e][0]) & 1
         and (vertex_mask >> g.edges[e][1]) & 1
     ]
+    if not kept:
+        return Fraction(0)
+    scaled, den = integer_scaled([w[e] for e in kept])
     edges = []
-    weights: list[Fraction] = []
-    total = Fraction(0)
-    for e in kept:
+    weights: list[int] = []
+    for e, we in zip(kept, scaled):
         u, v = g.edges[e]
-        we = Fraction(w[e])
-        total += we
         eu, ev = nxt, nxt + 1
         nxt += 2
         for cu in copies[u]:
             edges.append((cu, eu))
-            weights.append(we / 2)
+            weights.append(we)
         edges.append((eu, ev))
-        weights.append(we / 2)
+        weights.append(we)
         for cv in copies[v]:
             edges.append((ev, cv))
-            weights.append(we / 2)
-    if not edges:
-        return Fraction(0)
-    expanded = Graph(nxt, tuple(edges))
-    best = max_weight_matching(expanded, weights)
-    return 2 * _matching_weight(weights, best) - total
+            weights.append(we)
+    best = max_weight_matching(Graph(nxt, tuple(edges)), weights)
+    return Fraction(sum(weights[e] for e in best) - sum(scaled), den)
 
 
 class BMatchingGame(GameOracle):

@@ -407,17 +407,20 @@ class NetworkStrengthGame(GameOracle):
 
 
 def arboricity_nz_min_excess(
-    g: Graph, y: Sequence[Fraction], a: Sequence[int], kmax: int | None = None
+    g: Graph, y: Sequence[Fraction], a: Sequence[int], *, _kmax: int | None = None
 ) -> ExcessReport:
     """Minimize c(S) - y(S) over edge sets with a(S) != 0.
 
-    For every forest-cover budget k up to ``kmax``, the forest-cover number
-    of all of g (computed when not given), the best candidate is a maximum
-    y-weight nonzero independent set of the k-fold union matroid.  Its
-    cover number, which keeps the candidate value exact, is the least
-    budget whose matroid still holds it: the loop asks the oracles of the
-    budgets below k, from k - 1 down.  The sets are chosen and compared on
-    y scaled to integers, which orders them alike.
+    For every forest-cover budget k up to kmax, the forest-cover number of
+    all of g, the best candidate is a maximum y-weight nonzero independent
+    set of the k-fold union matroid.  Every edge set splits into kmax
+    forests, so the top budget's candidate is one exchange from the
+    positive-weight edges, with no oracle.  A candidate's cover number,
+    which keeps its value exact, is the least budget whose matroid still
+    holds it: the loop asks the oracles of the budgets below k, from k - 1
+    down.  The sets are chosen and compared on y scaled to integers, which
+    orders them alike.  ``_kmax`` is kmax when the caller knows it; a
+    smaller value would make the top budget's shortcut unsound.
     """
     if all(v == 0 for v in a):
         raise ValueError("non-zero constraint vector must have a nonzero entry")
@@ -425,12 +428,15 @@ def arboricity_nz_min_excess(
         raise ValueError("forest-cover games require loop-free graphs")
     wi, den = integer_scaled(y)
     best: tuple[Fraction, int] | None = None
-    if kmax is None:
-        kmax = arboricity_value(g, (1 << g.m) - 1)
+    kmax = arboricity_value(g, (1 << g.m) - 1) if _kmax is None else _kmax
     oracles: list[MatroidOracle] = []
     for k in range(1, kmax + 1):
-        oracles.append(union_k_matroid(g, k))
-        res = nz_max_weight_independent_set(oracles[-1], wi, a)
+        if k == kmax:
+            positive = sum(1 << e for e in range(g.m) if wi[e] > 0)
+            res = _best_nz_neighbour(g.m, positive, wi, a, lambda s: True)
+        else:
+            oracles.append(union_k_matroid(g, k))
+            res = nz_max_weight_independent_set(oracles[-1], wi, a)
         if res is None:
             continue
         cover = k  # res.subset is nonempty, as its label is nonzero
@@ -489,7 +495,7 @@ def arboricity_lsa_solver(g: Graph):
 
     def sep(vg, yhat, span: LinearSubspace) -> ExcessReport:
         a = fold_kernel(integer_kernel_basis(span))
-        return arboricity_nz_min_excess(g, [-v for v in yhat], a, kmax=kmax)
+        return arboricity_nz_min_excess(g, [-v for v in yhat], a, _kmax=kmax)
 
     return sep
 

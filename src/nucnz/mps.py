@@ -8,16 +8,23 @@ point the allocation is unique.
 
 The per-level LP is solved by cutting planes: the working LP starts from
 the singleton rows plus the efficiency equality, and a separation oracle
-supplies violated coalition rows.  Each level is one LP session: its
-first LP is solved cold, and each cut appends one row and re-optimizes
-from the optimum before by dual simplex.  ``mode="enumerate"`` uses the
-exhaustive scan :func:`~nucnz.games.min_excess_where` as the oracle,
-keeping the coalitions outside the span; ``mode="oracle"`` takes a
-caller-supplied solver for the subspace-avoiding minimum-excess problem.
-A second, independent algorithm (:func:`reference_nucleolus`) solves each
-level with all constraint rows explicit and fixes coalitions by an
-auxiliary-LP pinning test instead of dual support; the two must agree
-exactly on every game.
+supplies violated coalition rows.  Each level is one LP session.  The
+first level's first LP is solved cold.  Each later level's first LP
+resumes the optimum (y*, xi*) of the level before, which satisfies all of
+its rows (Maschler, Peleg and Shapley 1979): a newly fixed row
+y(S) = v(S) + xi* is tight there, and the carried-over cuts hold; the
+cuts the span now holds are dropped.  Each cut appends one row and
+re-optimizes from the optimum before by dual simplex.  :func:`least_core`
+and :func:`reference_nucleolus` solve their first LPs cold.
+
+``mode="enumerate"`` uses the exhaustive scan
+:func:`~nucnz.games.min_excess_where` as the oracle, keeping the
+coalitions outside the span; ``mode="oracle"`` takes a caller-supplied
+solver for the subspace-avoiding minimum-excess problem.  A second,
+independent algorithm (:func:`reference_nucleolus`) solves each level
+with all constraint rows explicit and fixes coalitions by an auxiliary-LP
+pinning test instead of dual support; the two must agree exactly on
+every game.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .games import (
     min_excess_where,
 )
 from .linalg import LinearSubspace, fold_kernel, integer_kernel_basis, rat_str
-from .lp import LPInstance, solve_lp_exact
+from .lp import LPInstance, LPSolution, solve_lp_exact
 
 __all__ = [
     "MpsError",
@@ -125,41 +132,35 @@ def _cut_row(n: int, value: ValueFn, mask: int) -> tuple:
     return (*coalition_vector(mask, n), -1), ">=", value(mask)
 
 
-def _level_lp(
-    n: int,
-    value: ValueFn,
-    fixed: list[tuple[int, Fraction]],
-    cuts: list[int],
-) -> LPInstance:
+def _level_lp(rows: Sequence[tuple], n: int) -> LPInstance:
     """Variables are y_0..y_{n-1} and xi (last), all free.  The
     coefficients stay ints, which the LP scales to integers as they are."""
-    full = (1 << n) - 1
-    rows = [((*coalition_vector(mask, n), 0), "==", value(mask) + xs) for mask, xs in fixed]
-    rows.append(((*coalition_vector(full, n), 0), "==", value(full)))
-    rows.extend(_cut_row(n, value, mask) for mask in cuts)
     return LPInstance((0,) * n + (1,), tuple(rows), (True,) * (n + 1))
 
 
 def _solve_level(
     vg: GameOracle,
     value: ValueFn,
-    fixed: list[tuple[int, Fraction]],
+    lp: LPInstance,
+    start: LPSolution | None,
     span: LinearSubspace,
     sep: LsaSolver,
     cuts: list[int],
-) -> tuple[Fraction, tuple[Fraction, ...], dict[int, Fraction]]:
-    """Cutting-plane solve of one level. Returns (xi, y, nonzero duals).
+) -> tuple[LPInstance, LPSolution]:
+    """Cutting-plane solve of one level, whose LP ``lp`` ends with the
+    rows of ``cuts``.  Returns the level's last LP and its optimum.
 
-    One LP session per level: the level's first LP is solved cold, and
-    each cut appends its row to the LP before and re-solves from the
-    previous optimum (``solve_lp_exact(..., start=)``, by dual simplex).
-    ``value`` is the solve's memoised ``vg.value``: each level's first LP
-    reads the values of the fixed and carried-over cut coalitions again.
+    One LP session per level.  Its first LP resumes ``start``, the
+    optimum of the level before (``solve_lp_exact(..., start=)``), or is
+    solved cold when ``start`` is None.  The point of ``start`` satisfies
+    every row: the rows newly fixed at xi* are tight there, and the
+    carried-over cuts hold.  Each cut appends its row to the LP before and
+    re-solves from the previous optimum, by dual simplex.  ``value`` is
+    the solve's memoised ``vg.value``.
     """
     n = vg.player_count
     cut_set = set(cuts)
-    lp = _level_lp(n, value, fixed, cuts)
-    sol = solve_lp_exact(lp)
+    sol = solve_lp_exact(lp, start)
     while True:
         if sol.status != "optimal":
             raise MpsError(f"level LP came back {sol.status}")
@@ -175,13 +176,7 @@ def _solve_level(
         if span.contains(coalition_vector(rep.coalition, n)):
             raise MpsError("oracle returned a coalition inside the span")
         if rep.excess >= xi:
-            duals = {}
-            offset = len(fixed) + 1
-            for k, mask in enumerate(cuts):
-                d = sol.duals[offset + k]
-                if d != 0:
-                    duals[mask] = -d
-            return xi, y, duals
+            return lp, sol
         if rep.coalition in cut_set:
             raise MpsError(
                 "oracle reported an already-generated row as violated"
@@ -236,10 +231,14 @@ def mps_nucleolus(
 
     full = (1 << n) - 1
     span = LinearSubspace.from_rows([coalition_vector(full, n)], n)
-    fixed: list[tuple[int, Fraction]] = []
+    grand = ((*coalition_vector(full, n), 0), "==", value(full))
+    fixed: list[tuple] = []
     cuts = [1 << p for p in range(n)]
+    # Each cut's row object, which the next level's LP carries over.
+    cut_rows = {mask: _cut_row(n, value, mask) for mask in cuts}
     records: list[IterationRecord] = []
     last_y: tuple[Fraction, ...] | None = None
+    sol = None
 
     iteration = 0
     while span.dim < n:
@@ -250,13 +249,17 @@ def mps_nucleolus(
         # kernel dot product is nonzero.
         avoid = fold_kernel(integer_kernel_basis(span))
         cuts = [m for m in cuts if sum(avoid[p] for p in coalition_members(m))]
-        xi, y, duals = _solve_level(vg, value, fixed, span, oracle, cuts)
-        last_y = y
+        lp = _level_lp((*fixed, grand, *(cut_rows[m] for m in cuts)), n)
+        lp, sol = _solve_level(vg, value, lp, sol, span, oracle, cuts)
+        xi, last_y = sol.x[n], sol.x[:n]
+        offset = len(lp.rows) - len(cuts)
+        cut_rows.update(zip(cuts, lp.rows[offset:]))
+        duals = {mask: -d for mask, d in zip(cuts, sol.duals[offset:]) if d}
         newly = []
         for mask in sorted(duals):
             vec = coalition_vector(mask, n)
             if not span.contains(vec):
-                fixed.append((mask, xi))
+                fixed.append(((*vec, 0), "==", value(mask) + xi))
                 span = span.extended(vec)
                 newly.append(mask)
         if not newly:
@@ -276,9 +279,12 @@ def least_core(g: GameOracle, mode: str = "enumerate", sep: LsaSolver | None = N
         return Fraction(0), _payoff(g, (vg.grand_value(),))
     full = (1 << n) - 1
     span = LinearSubspace.from_rows([coalition_vector(full, n)], n)
+    value = cache(vg.value)
     cuts = [1 << p for p in range(n)]
-    xi, y, _ = _solve_level(vg, cache(vg.value), [], span, oracle, cuts)
-    return xi, _payoff(g, y)
+    grand = ((*coalition_vector(full, n), 0), "==", value(full))
+    lp = _level_lp((grand, *(_cut_row(n, value, m) for m in cuts)), n)
+    _, sol = _solve_level(vg, value, lp, None, span, oracle, cuts)
+    return sol.x[n], _payoff(g, sol.x[:n])
 
 
 def reference_nucleolus(g: GameOracle) -> NucleolusResult:

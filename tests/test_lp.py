@@ -309,8 +309,9 @@ def test_warm_solves_match_cold_solves(data):
     backward = [solve_lp_exact(lp, start) for lp in (b, a)]
     assert forward == backward[::-1]
     assert [sol.objective for sol in forward] == [sol.objective for sol in cold[:2]]
-    with pytest.raises(ValueError):
-        solve_lp_exact(maximize(objectives[0], rows, free), start)
+    # The same rows as other objects are new to the start, and it resumes.
+    resumed = solve_lp_exact(maximize(objectives[0], rows, free), start)
+    assert resumed.objective == cold[0].objective
     with pytest.raises(ValueError):
         solve_lp_exact(replace(first, free=tuple(not f for f in free)), start)
 
@@ -468,13 +469,111 @@ def test_appended_row_takes_a_free_column_that_found_no_row():
     assert warm == solve_lp_exact(cut)
 
 
+def _player_rows(n, masks, values):
+    """The rows y(S) - xi >= v(S) of the coalitions ``masks``."""
+    return [
+        ((*(mask >> p & 1 for p in range(n)), -1), ">=", v) for mask, v in zip(masks, values)
+    ]
+
+
+@st.composite
+def level_lp(draw):
+    """A level LP of the nucleolus scheme over y_0..y_{n-1} and xi, all free,
+    maximizing xi: the grand coalition's equality, perhaps another
+    equality y(S) = v, and a row y(S) - xi >= v(S) for every singleton and
+    up to four other coalitions, which keeps xi bounded."""
+    n = draw(st.integers(2, 4))
+    full = (1 << n) - 1
+    values = st.integers(-4, 6)
+    rows = [((1,) * n + (0,), "==", draw(values))]
+    if draw(st.booleans()):
+        mask = draw(st.integers(1, full - 1))
+        rows.append(((*(mask >> p & 1 for p in range(n)), 0), "==", draw(values)))
+    masks = [1 << p for p in range(n)]
+    masks += draw(st.lists(st.integers(1, full - 1), max_size=4, unique=True).filter(
+        lambda extra: not set(extra) & set(masks)))
+    rows += _player_rows(n, masks, [draw(values) for _ in masks])
+    return maximize([0] * n + [1], rows)
+
+
+@settings(max_examples=150)
+@given(lp=level_lp(), data=st.data())
+def test_resumed_level_matches_a_cold_solve(lp, data):
+    # The next level: every cut with a nonzero dual becomes the equality
+    # y(S) = v(S) + xi*, tight at the start's point, and some of the other
+    # cuts but the singletons, which keep xi bounded, are dropped, tight or
+    # loose.  The resumed solve must match a cold one, leave its start
+    # unchanged and serve a later appended cut.
+    start = solve_lp_exact(lp)
+    assert start.status == "optimal"
+    n, xi = lp.n_vars - 1, start.x[-1]
+    held = copy.deepcopy(start.basis)
+    fixed, kept = [], []
+    for row, d in zip(lp.rows, start.duals):
+        coeffs, sense, rhs = row
+        if sense == ">=" and d:
+            # Either sign: a loose equality is relaxed to one side only.
+            sign = data.draw(st.sampled_from([1, -1]))
+            fixed.append(((*(sign * c for c in coeffs[:n]), 0), "==", sign * (rhs + xi)))
+        elif sense == "==" or sum(coeffs[:n]) == 1 or not data.draw(st.booleans()):
+            kept.append(row)
+    nxt = replace(lp, rows=(*fixed, *kept))
+    resumed = solve_lp_exact(nxt, start)
+    _check_warm_against_cold(nxt, resumed)
+    assert (start.basis.cols, start.basis.tight, start.basis.rest, start.basis.slack) == (
+        held.cols, held.tight, held.rest, held.slack
+    )
+    if resumed.status == "optimal":
+        mask, v = data.draw(st.integers(1, (1 << n) - 2)), data.draw(st.integers(-4, 6))
+        cut = replace(nxt, rows=nxt.rows + tuple(_player_rows(n, [mask], [v])))
+        _check_warm_against_cold(cut, solve_lp_exact(cut, resumed))
+
+
+def test_resume_refills_a_singular_place_and_a_dropped_tight_row():
+    # Over (y0, y1, y2, xi), the optimum xi* = -1 at y = (0, 3, 4) has
+    # nonzero duals on the cuts of {2} and {0, 1}, which the next level
+    # fixes, and the cut of {1} is tight with a zero dual, and dropped.
+    # Once y2 = 4 holds {2}'s place, y0 + y1 = 3 is the grand coalition's
+    # row less y2's: {0, 1}'s place is singular, and a ratio step refills
+    # it, as it refills the dropped row's.
+    level = maximize(
+        [0, 0, 0, 1],
+        [((1, 1, 1, 0), "==", 7)] + _player_rows(3, [1, 2, 4, 6, 3], [0, 4, 5, 5, 4]),
+    )
+    start = solve_lp_exact(level)
+    assert start.x == (0, 3, 4, -1)
+    assert [bool(d) for d in start.duals] == [True, False, False, True, False, True]
+    grand, cut0, _, _, cut12, _ = level.rows
+    place = {key: k for k, key in enumerate(start.basis.tight)}
+    assert 4 + 2 in place  # the cut of {1} is in M
+    nxt = replace(level, rows=(
+        ((0, 0, 1, 0), "==", 4), ((1, 1, 0, 0), "==", 3), grand, cut0, cut12,
+    ))
+    refilled, ratio = [], lp_module._Basis.ratio
+
+    def spy(basis, k):
+        refilled.append(basis.tight[k])
+        return ratio(basis, k)
+
+    with mock.patch.object(lp_module._Basis, "ratio", spy):
+        resumed = solve_lp_exact(nxt, start)
+    # A place whose constraint the LP lacks holds the key -1 - place.
+    assert {-1 - place[4 + 2], -1 - place[4 + 5]} <= set(refilled)
+    # The three equalities are dependent, so only x is unique.
+    assert resumed.x == solve_lp_exact(nxt).x == (1, 2, 4, 1)
+
+
 def test_start_that_does_not_fit_raises():
     box, start, cut = _session_start()
     (first, *others) = cut.rows
-    with pytest.raises(ValueError, match="do not begin these"):
+    # Rows in another order are resumed, and the cut, new to the start,
+    # does not hold at its point.
+    with pytest.raises(ValueError, match="must hold at its point"):
         solve_lp_exact(replace(cut, rows=tuple(others) + (first,)), start)
-    with pytest.raises(ValueError, match="do not begin these"):
-        solve_lp_exact(replace(box, rows=box.rows[:-1]), start)
+    with pytest.raises(ValueError, match="must hold at its point, an equality tightly"):
+        solve_lp_exact(replace(box, rows=box.rows[1:] + (((1, 1), "==", 5),)), start)
+    with pytest.raises(ValueError, match="other free flags"):
+        solve_lp_exact(replace(box, free=(True, False)), start)
     with pytest.raises(ValueError, match="must be an inequality"):
         solve_lp_exact(replace(box, rows=box.rows + (((1, 2), "==", 4),)), start)
     with pytest.raises(ValueError, match="the start's objective"):

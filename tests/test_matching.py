@@ -100,6 +100,23 @@ def test_b_matching_matches_brute():
         assert b_matching_value(g, w, b, mask) == brute_b_matching_value(g, w, b, mask)
 
 
+def test_b_matching_matches_brute_on_int_data():
+    # Plain int weights, with negative and zero ones, and parallel edges
+    # among the random draws: the value is an exact Fraction all the same.
+    rng = random.Random(6)
+    for trial in range(40):
+        n = rng.randint(2, 5)
+        g = random_graph(n, rng.randint(1, 8), 2000 + trial)
+        if g.has_loops():
+            continue
+        w = [rng.randint(-4, 9) for _ in range(g.m)]
+        b = [rng.choice([1, 2]) for _ in range(n)]
+        mask = rng.randrange(1 << n)
+        got = b_matching_value(g, w, b, mask)
+        assert isinstance(got, F)
+        assert got == brute_b_matching_value(g, w, b, mask), (g, w, b, mask)
+
+
 def test_b_matching_monotone_in_s():
     rng = random.Random(5)
     g = random_graph(4, 6, 77)

@@ -1,6 +1,7 @@
 import copy
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -339,6 +340,22 @@ def test_arboricity_nz_matches_brute():
         got = arboricity_nz_min_excess(g, y, a)
         want = brute_nz_min_excess(game, y, a)
         assert got.excess == want.excess
+
+
+@pytest.mark.parametrize("a", [[1, 0, 0, 0, 0, 0], [1, -1, 0, 0, 0, 0]])
+def test_arboricity_optimum_at_the_top_budget_matches_brute(a):
+    # K4 needs two forests, and with y = 1 on every edge the whole edge set
+    # (cover 2, excess -4) beats every forest (excess -2 at best).  When
+    # a(E) = 0 the best set drops one labelled edge and still needs two
+    # forests (excess -3).  The top budget's matroid holds every edge set,
+    # so only the one-forest oracle is built.
+    y = make_allocation([1] * K4.m)
+    with mock.patch("nucnz.matroids.union_k_matroid", wraps=union_k_matroid) as built:
+        got = arboricity_nz_min_excess(K4, y, a)
+    assert [call.args[1] for call in built.call_args_list] == [1]
+    assert got.excess == brute_nz_min_excess(ArboricityGame(K4), y, a).excess
+    assert got.excess == (-4 if sum(a) else -3)
+    assert arboricity_value(K4, got.coalition) == 2
 
 
 def test_strength_nz_matches_brute():
