@@ -28,7 +28,9 @@ and brings it in at the most violated one, which makes the vertex
 feasible, then minimizes h plus the slacks of the loose equalities.  A
 tight equality never leaves M.  Loose constraints at zero that must not
 stay loose (the helper and equalities) then join M in place of the lowest
-key with an entry that may leave, and h goes once its bound is tight.
+key with an entry that may leave.  A helper with no such entry has its
+entries at equalities that are dependent once h = 0, and takes the place
+of the lowest of them, which stays loose at zero.  Then h goes.
 
 The primal simplex (phase 1, then phase 2 on the objective) takes the
 tight constraint of least nu_k < 0 out of M, ties to the lowest key
@@ -69,8 +71,7 @@ An optimal solution keeps its basis, and a later solve can start from it
   when nu_k = 0), and the loose constraint whose slack runs out first, by
   the primal ratio test, joins M in its place.  Phase 2 finishes.  A
   ghost that no loose constraint can replace (the rows have a lineality,
-  or the objective a ray) sends the solve cold, as does a start whose
-  basis kept the phase-1 helper.
+  or the objective a ray) sends the solve cold.
 
 Among equal slacks the first in ``rest`` joins M.  ``rest`` lists the
 loose constraints in the order a tableau holds the rows they are basic
@@ -202,7 +203,7 @@ class _Basis:
             coeffs, sense, rhs = rows[i]
             a, b, rho = _oriented(sense, *integer_scaled((*coeffs, rhs)))
             key = n + i
-            self.cons[key] = (a + (0,) * (len(tight) - n), b)
+            self.cons[key] = (a, b)
             self.orient += (rho,)
             self.allowed.add(key)
             w = self.weights(key)
@@ -412,7 +413,7 @@ def solve_lp_exact(lp: LPInstance, start: LPSolution | None = None) -> LPSolutio
     x = tuple(Fraction(z[j], den) if z[j] else _ZERO for j in range(n))
     duals = [_ZERO] * m
     for k, key in enumerate(basis.tight):
-        if cols[k][-1] and n <= key < n + m:
+        if cols[k][-1] and key >= n:
             duals[key - n] = Fraction(cols[k][-1] * basis.orient[key - n], den * sigma)
     sol = LPSolution(
         status="optimal", x=x, duals=tuple(duals),
@@ -427,8 +428,6 @@ def _resumed_basis(lp: LPInstance, old: _Basis, scaled: list[int]) -> _Basis | N
     ``scaled``, at the same point, with every place of M held by a
     constraint of ``lp``; None when a place cannot be refilled."""
     n, free = lp.n_vars, lp.free
-    if len(old.tight) != n:
-        return None  # a phase-1 helper stayed loose in the start's basis
     index = {id(row): i for i, row in enumerate(old.rows)}
     cons = {j: old.cons[j] for j in range(n)}
     moved: dict[int, int] = {}  # old key -> new key of each kept row
@@ -573,7 +572,21 @@ def _cold_basis(lp: LPInstance) -> _Basis | None:
             return None
     # The helper and loose equalities are at zero.
     basis.drive_in({_HELPER, *(n + i for i, eq in enumerate(equality) if eq)})
-    if negative and _HELPER in basis.tight:
+    if negative:
+        if _HELPER in rest:
+            # With w = a_h Q, w M = den a_h: the rows of M with w_k != 0
+            # cancel in x, and since h = 0 their rhs do too.  A free
+            # variable's bound in M has w_k = 0: its column of Q moves x_j
+            # along a direction on which every constraint but that bound
+            # is constant, as it was when the variable found no row.  So
+            # the helper stayed loose only for want of a place that may
+            # leave, its w_k != 0 sit at equalities, and once h = 0 each is
+            # implied by the others, which never leave M.  The lowest
+            # gives its place to the helper's bound and stays loose at
+            # zero, as a redundant equality does after the drive-in.
+            w = basis.weights(_HELPER)
+            k = min((key, k) for k, key in enumerate(basis.tight) if w[k])[1]
+            basis.swap(k, rest.index(_HELPER), w)
         k = basis.tight.index(_HELPER)
         del basis.tight[k], cols[k]
         for col in cols:

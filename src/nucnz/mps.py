@@ -23,8 +23,9 @@ coalitions outside the span; ``mode="oracle"`` takes a caller-supplied
 solver for the subspace-avoiding minimum-excess problem.  A second,
 independent algorithm (:func:`reference_nucleolus`) solves each level
 with all constraint rows explicit and fixes coalitions by an auxiliary-LP
-pinning test instead of dual support; the two must agree exactly on
-every game.
+pinning test instead of dual support, or by span closure when a tight
+coalition lies in the span of those already fixed; the two must agree
+exactly on every game.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .games import (
     dot_table,
     min_excess_where,
 )
-from .linalg import LinearSubspace, fold_kernel, integer_kernel_basis, rat_str
+from .linalg import LinearSubspace, fold_kernel, integer_kernel_basis, integer_scaled, rat_str
 from .lp import LPInstance, LPSolution, solve_lp_exact
 
 __all__ = [
@@ -64,9 +65,10 @@ LsaSolver = Callable[[GameOracle, Sequence[Fraction], LinearSubspace], ExcessRep
 ValueFn = Callable[[int], Fraction]
 
 # reference_nucleolus solves LPs with a row for each of the 2^n
-# coalitions.  On random_monotone_game(n, 1) it took 0.042 / 0.12 / 0.51 s
-# at n = 6 / 7 / 8 (Python 3.11, one core of a shared 2-core Intel Xeon), so
-# each player past 7 multiplies a validator run by about four.
+# coalitions.  On random_monotone_game(n, 1) it took 0.006 / 0.013 / 0.054 s
+# at n = 6 / 7 / 8 (medians of 7 / 5 / 3 runs, Python 3.11, one core of a
+# shared 2-core Intel Xeon), so each player past 7 multiplies a validator
+# run by about four.
 REFERENCE_MAX_PLAYERS = 7
 
 
@@ -291,9 +293,13 @@ def reference_nucleolus(g: GameOracle) -> NucleolusResult:
     """Independent validator: explicit LPs plus an auxiliary pinning test.
 
     Every level solves the LP with rows for all coalitions outside the
-    current span.  A tight coalition is fixed iff maximizing its excess
-    over the level's optimal face cannot move it above the level value,
-    which is decided by one pinning LP per tight coalition.  The face is
+    current span, and reads which are tight off one integer table of the
+    optimum's coalition sums.  A tight coalition is fixed iff maximizing
+    its excess over the level's optimal face cannot move it above the
+    level value.  They are taken in mask order against the span extended
+    by each one fixed so far: one inside it has a constant excess on the
+    face (Maschler, Peleg and Shapley 1979) and is fixed with no LP; any
+    other is decided by its own pinning LP, never by a dual.  The face is
     the level LP with the row xi >= xi* appended, which is tight at the
     level optimum, so it continues the level's LP session without a pivot.
     The pinning LPs maximize y(S) over the face's rows, each starting from
@@ -306,6 +312,7 @@ def reference_nucleolus(g: GameOracle) -> NucleolusResult:
     if n > REFERENCE_MAX_PLAYERS:
         raise CapExceededError(f"{n} players exceeds reference cap {REFERENCE_MAX_PLAYERS}")
     table = vg.table()
+    vnum, dv = vg.scaled_table()
     full = (1 << n) - 1
     span = LinearSubspace.from_rows([coalition_vector(full, n)], n)
     fixed: list[tuple[int, Fraction]] = []
@@ -322,35 +329,31 @@ def reference_nucleolus(g: GameOracle) -> NucleolusResult:
         sol = solve_lp_exact(lp)
         if sol.status != "optimal":
             raise MpsError(f"reference level LP came back {sol.status}")
-        y = sol.x[:n]
-        xi = sol.x[n]
-        last_y = y
+        xi, last_y = sol.x[n], sol.x[:n]
+        duals = {mask: -d for mask, d in zip(active, sol.duals[len(fixed) + 1:]) if d}
 
-        duals = {}
-        offset = len(fixed) + 1
-        for k, mask in enumerate(active):
-            d = sol.duals[offset + k]
-            if d != 0:
-                duals[mask] = -d
-
-        ysum = {m: sum(y[p] for p in range(n) if (m >> p) & 1) for m in active}
-        tight = [m for m in active if ysum[m] - table[m] == xi]
+        # S is tight iff y(S) - v(S) == xi, over the denominator dx * dv.
+        xnum, dx = integer_scaled(sol.x)
+        ysum, target = dot_table(xnum, n), xnum[n] * dv
+        tight = [m for m in active if ysum[m] * dv - vnum[m] * dx == target]
         face = replace(lp, rows=lp.rows + (((0,) * n + (1,), ">=", xi),))
         start = solve_lp_exact(face, sol)
         if start.status != "optimal":
             raise MpsError(f"reference face LP came back {start.status}")
         pinned = []
         for mask in tight:
-            start = solve_lp_exact(replace(face, objective=(*coalition_vector(mask, n), 0)), start)
-            if start.status != "optimal":
-                raise MpsError(f"reference pinning LP came back {start.status}")
-            if start.objective == table[mask] + xi:
-                pinned.append(mask)
+            vec = coalition_vector(mask, n)
+            if not span.contains(vec):
+                start = solve_lp_exact(replace(face, objective=(*vec, 0)), start)
+                if start.status != "optimal":
+                    raise MpsError(f"reference pinning LP came back {start.status}")
+                if start.objective != table[mask] + xi:
+                    continue
+                span = span.extended(vec)
+            pinned.append(mask)
         if not pinned:
             raise MpsError("reference level pinned no coalition")
-        for mask in pinned:
-            fixed.append((mask, xi))
-            span = span.extended(coalition_vector(mask, n))
+        fixed.extend((mask, xi) for mask in pinned)
         records.append(IterationRecord(xi=xi, fixed=tuple(pinned), duals=duals))
 
     return _result(g, last_y, records)

@@ -211,6 +211,28 @@ def test_redundant_equality_keeps_artificial_at_zero():
     assert solve_lp_exact(nonnegative).objective == 2
 
 
+def test_helper_loose_only_beside_dependent_equalities_goes():
+    # Phase 1 ends with the helper loose at zero, its entries at the two
+    # equalities only, which are one row twice once h = 0.  The lower one
+    # gives the helper's bound its place, so the basis is square in x and
+    # a start that resumes it never goes cold.
+    lp = maximize(
+        [-1, 2],
+        [((F(-3, 2), 1), "==", 0), ((F(3, 2), -1), "==", 0), ((1, 0), "<=", 3),
+         ((0, 1), "<=", 3), ((0, 1), ">=", -3)],
+        free=[False, True],
+    )
+    sol = solve_lp_exact(lp)
+    assert sol.x == (2, 3) and sol.objective == 4
+    assert len(sol.basis.tight) == 2 and lp_module._HELPER not in sol.basis.cons
+    again = replace(lp, rows=tuple((a, sense, b) for a, sense, b in lp.rows))
+    with _starts_without_a_helper(), mock.patch.object(
+        lp_module, "_cold_basis", side_effect=AssertionError("the resume went cold")
+    ):
+        resumed = solve_lp_exact(again, sol)
+    assert (resumed.x, resumed.objective) == (sol.x, sol.objective)
+
+
 def test_drive_out_pivot_on_negative_entry():
     # The artificial of -x == 0 is basic at zero and leaves on the -1.
     lp = maximize(
@@ -273,6 +295,18 @@ def test_boxed_lps_match_vertex_enumeration(data):
         assert sol.objective == best
 
 
+def _starts_without_a_helper():
+    """Patch the resume so that it asserts its start's basis is square in
+    the LP's variables: no phase-1 helper stayed loose in it."""
+    resumed_basis = lp_module._resumed_basis
+
+    def spy(lp, old, scaled):
+        assert len(old.tight) == lp.n_vars and lp_module._HELPER not in old.cons
+        return resumed_basis(lp, old, scaled)
+
+    return mock.patch.object(lp_module, "_resumed_basis", spy)
+
+
 @settings(max_examples=150)
 @given(data=st.data())
 def test_warm_solves_match_cold_solves(data):
@@ -310,7 +344,8 @@ def test_warm_solves_match_cold_solves(data):
     assert forward == backward[::-1]
     assert [sol.objective for sol in forward] == [sol.objective for sol in cold[:2]]
     # The same rows as other objects are new to the start, and it resumes.
-    resumed = solve_lp_exact(maximize(objectives[0], rows, free), start)
+    with _starts_without_a_helper():
+        resumed = solve_lp_exact(maximize(objectives[0], rows, free), start)
     assert resumed.objective == cold[0].objective
     with pytest.raises(ValueError):
         solve_lp_exact(replace(first, free=tuple(not f for f in free)), start)
@@ -518,7 +553,8 @@ def test_resumed_level_matches_a_cold_solve(lp, data):
         elif sense == "==" or sum(coeffs[:n]) == 1 or not data.draw(st.booleans()):
             kept.append(row)
     nxt = replace(lp, rows=(*fixed, *kept))
-    resumed = solve_lp_exact(nxt, start)
+    with _starts_without_a_helper():
+        resumed = solve_lp_exact(nxt, start)
     _check_warm_against_cold(nxt, resumed)
     assert (start.basis.cols, start.basis.tight, start.basis.rest, start.basis.slack) == (
         held.cols, held.tight, held.rest, held.slack

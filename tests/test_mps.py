@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -10,11 +11,12 @@ from nucnz.games import (
     GameOracle,
     TableGame,
     brute_lsa_min_excess,
+    coalition_vector,
     excess,
     make_allocation,
 )
 from nucnz.linalg import LinearSubspace
-from nucnz.lp import LPSolution
+from nucnz.lp import LPSolution, solve_lp_exact
 from nucnz.matroids import ArboricityGame, arboricity_lsa_solver
 from nucnz.mps import MpsError, least_core, mps_nucleolus, reference_nucleolus
 
@@ -278,3 +280,60 @@ def test_arbor12_oracle_trace_is_pinned():
         (0, (258,)),
     ]
     assert result.allocation == tuple(F(int(e in (1, 6, 9, 11))) for e in range(12))
+
+
+def _pinning_record(monkeypatch):
+    """Record each level LP that reference_nucleolus solves, and the
+    objective of each LP it solves that is not a level or face LP."""
+    real = nucnz.mps.solve_lp_exact
+    levels, pinning = [], set()
+
+    def spy(lp, start=None):
+        level = lp.objective[-1] == 1
+        if level and start is None:
+            levels.append(lp)
+        elif not level:
+            pinning.add(lp.objective)
+        return real(lp, start)
+
+    monkeypatch.setattr(nucnz.mps, "solve_lp_exact", spy)
+    return levels, pinning
+
+
+def test_span_closure_pins_only_what_a_pinning_lp_pins(monkeypatch):
+    # A tight coalition in the span of those already pinned is pinned with
+    # no LP.  Its own pinning LP, solved cold over the level's face, must
+    # reach exactly v(S) + xi*: no maximization can move its excess.
+    levels, pinning = _pinning_record(monkeypatch)
+    closure_pinned = 0
+    for n in range(3, 7):
+        for seed in range(4):
+            table = random_monotone_game(n, 1000 * n + seed).table()
+            for kind in ("value", "cost"):
+                levels.clear()
+                pinning.clear()
+                g = TableGame(table, kind=kind)
+                result = reference_nucleolus(g)
+                assert len(levels) == len(result.trace)
+                value = -1 if kind == "cost" else 1
+                for lp, rec in zip(levels, result.trace):
+                    face = replace(lp, rows=lp.rows + (((0,) * n + (1,), ">=", rec.xi),))
+                    for mask in rec.fixed:
+                        vec = (*coalition_vector(mask, n), 0)
+                        if vec in pinning:
+                            continue
+                        closure_pinned += 1
+                        sol = solve_lp_exact(replace(face, objective=vec))
+                        assert sol.status == "optimal"
+                        assert sol.objective == value * table[mask] + rec.xi, (n, seed, kind, mask)
+    assert closure_pinned > 50
+
+
+def test_reference_matches_the_scheme_at_its_player_cap():
+    # Seven players is reference_nucleolus's cap, where each game takes it
+    # about 40 ms.
+    assert nucnz.mps.REFERENCE_MAX_PLAYERS == 7
+    games = [random_monotone_game(7, seed) for seed in (1, 2, 3)]
+    games.append(TableGame(random_monotone_game(7, 4).table(), kind="cost"))
+    for g in games:
+        assert reference_nucleolus(g).allocation == mps_nucleolus(g).allocation
